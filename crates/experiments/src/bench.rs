@@ -16,7 +16,7 @@ use crate::checkpoint::{CheckpointPolicy, DEFAULT_SNAPSHOT_EVERY};
 use crate::context::ExperimentContext;
 use crate::manifest::BudgetSummary;
 use crate::report::Rendered;
-use crate::runner::{run_scheme_cancellable, run_scheme_checkpointed};
+use crate::runner::drive;
 use iq_reliability::Scheme;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -221,51 +221,46 @@ pub fn run_bench_supervised(
         let case = &cases[c];
         let mix = workload_gen::mix_by_name(case.mix)
             .unwrap_or_else(|| panic!("unknown bench mix {}", case.mix));
-        let out = match (journal_dir, &journal) {
-            (Some(dir), Some(journal)) => {
-                let key = JobKey::new(
-                    "bench-baseline",
-                    case.name,
-                    salt,
-                    bench_config_hash(ctx, case),
-                );
-                let store = SnapshotStore::new(dir, &key.slug());
-                let policy = CheckpointPolicy {
-                    store: &store,
-                    every: jctx.snapshot_every.unwrap_or(DEFAULT_SNAPSHOT_EVERY),
-                    selfcheck: jctx.selfcheck,
-                    metrics: &obs.metrics,
-                };
-                let out = run_scheme_checkpointed(
-                    ctx,
-                    &mix,
-                    case.scheme,
-                    case.fetch,
-                    salt,
-                    Some(jctx.cancel.clone()),
-                    &policy,
-                    |cycle| {
-                        if journal.lock().record_checkpoint(&key, &cycle).is_err() {
-                            obs.metrics.counter_add("harness.journal.write_errors", 1);
-                        }
-                    },
-                )?;
-                if !out.cancelled && !out.deadlocked {
-                    // The final sample supersedes the snapshots; drop
-                    // them so a finished campaign leaves no dead weight.
-                    let _ = store.clear();
+        let key = JobKey::new(
+            "bench-baseline",
+            case.name,
+            salt,
+            bench_config_hash(ctx, case),
+        );
+        // With a journal, the job checkpoints into its own snapshot
+        // store and marks each durable snapshot in the journal.
+        let store = journal_dir.map(|dir| SnapshotStore::new(dir, &key.slug()));
+        let policy = store.as_ref().map(|store| CheckpointPolicy {
+            store,
+            every: jctx.snapshot_every.unwrap_or(DEFAULT_SNAPSHOT_EVERY),
+            selfcheck: jctx.selfcheck,
+            metrics: &obs.metrics,
+        });
+        let mut mark = |cycle: u64| {
+            if let Some(journal) = &journal {
+                if journal.lock().record_checkpoint(&key, &cycle).is_err() {
+                    obs.metrics.counter_add("harness.journal.write_errors", 1);
                 }
-                out
             }
-            _ => run_scheme_cancellable(
-                ctx,
-                &mix,
-                case.scheme,
-                case.fetch,
-                salt,
-                Some(jctx.cancel.clone()),
-            ),
         };
+        let out = drive(
+            ctx,
+            &mix,
+            case.scheme,
+            case.fetch,
+            salt,
+            Some(jctx.cancel.clone()),
+            policy
+                .as_ref()
+                .map(|p| (p, &mut mark as &mut dyn FnMut(u64))),
+        )?;
+        if let Some(store) = &store {
+            if !out.cancelled && !out.deadlocked {
+                // The final sample supersedes the snapshots; drop them
+                // so a finished campaign leaves no dead weight.
+                let _ = store.clear();
+            }
+        }
         if out.cancelled {
             // Only the deadline monitor cancels; the supervisor
             // re-classifies this with the configured limit.
@@ -338,20 +333,6 @@ pub fn run_bench_supervised(
         interrupted: outcome.interrupted,
         simulated_cycles: outcome.simulated_cycles,
     })
-}
-
-/// [`run_bench_supervised`] with default supervision, no journal, and
-/// no observers — the historical entry point.
-pub fn run_bench(ctx: &ExperimentContext, seeds: u64) -> BenchBaseline {
-    run_bench_supervised(
-        ctx,
-        seeds,
-        &HarnessConfig::default(),
-        &HarnessObservers::off(),
-        None,
-    )
-    .expect("journal-less bench campaign cannot fail on IO")
-    .baseline
 }
 
 /// The campaign-report table: one row per exhibit, `mean ± ci95` cells.

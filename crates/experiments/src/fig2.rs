@@ -10,7 +10,7 @@
 
 use crate::context::ExperimentContext;
 use crate::report::Rendered;
-use crate::runner::run_stats_only;
+use crate::runner::run_scheme;
 use iq_reliability::Scheme;
 use sim_stats::Table;
 use smt_sim::{FetchPolicyKind, SimStats};
@@ -21,9 +21,9 @@ pub struct Fig2Result {
 
 pub fn run(ctx: &ExperimentContext) -> Fig2Result {
     let mix = workload_gen::mix_by_name("CPU-A").expect("CPU-A mix");
-    let result = run_stats_only(ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
+    let outcome = run_scheme(ctx, &mix, Scheme::Baseline, FetchPolicyKind::Icount);
     Fig2Result {
-        stats: result.stats,
+        stats: outcome.stats,
     }
 }
 
@@ -89,6 +89,7 @@ pub fn render(result: &Fig2Result) -> Rendered {
 mod tests {
     use super::*;
     use crate::context::{ExperimentContext, ExperimentParams};
+    use smt_sim::{NullObserver, Pipeline, SimLimits};
 
     #[test]
     fn hill_shape_and_abundant_ready_instructions() {
@@ -110,5 +111,29 @@ mod tests {
         assert!(ace > 0.15, "ACE share {ace}");
         let text = render(&result).to_text();
         assert!(text.contains("Figure 2"));
+    }
+
+    /// The census comes from an AVF-observed run; observers never
+    /// change the simulation, so it matches an unobserved run's.
+    #[test]
+    fn census_matches_an_unobserved_run() {
+        let ctx = ExperimentContext::new(ExperimentParams {
+            warmup_insts: 40_000,
+            run_cycles: 40_000,
+            ..ExperimentParams::fast()
+        });
+        let observed = run(&ctx).stats;
+        let mix = workload_gen::mix_by_name("CPU-A").unwrap();
+        let (policies, _) = Scheme::Baseline.policies(FetchPolicyKind::Icount, ctx.machine.iq_size);
+        let mut pipeline = Pipeline::new(ctx.machine.clone(), ctx.mix_programs(&mix), policies);
+        pipeline.warm_up(ctx.params.warmup_insts);
+        let plain = pipeline
+            .run(SimLimits::cycles(ctx.params.run_cycles), &mut NullObserver)
+            .stats;
+        assert_eq!(observed.committed_per_thread, plain.committed_per_thread);
+        assert_eq!(
+            format!("{:?}", observed.ready_queue_hist),
+            format!("{:?}", plain.ready_queue_hist)
+        );
     }
 }

@@ -58,7 +58,5 @@ pub use faultinject::{FaultInjectReport, FAULT_SCHEMA_VERSION};
 pub use manifest::RunManifest;
 pub use report::Rendered;
 pub use reportcmd::{cmd_report, register_inject, register_manifest, ArtifactDirs, ReportArgs};
-pub use runner::{
-    run_scheme, run_scheme_checkpointed, run_scheme_salted, run_stats_only, RunOutcome,
-};
+pub use runner::{run_scheme, run_scheme_checkpointed, run_scheme_salted, RunOutcome};
 pub use serve::{cmd_serve, cmd_serve_client, ServeArgs, ServeClientArgs};

@@ -544,32 +544,17 @@ fn main() {
     } else {
         ExperimentParams::full()
     };
-    let mut ctx = ExperimentContext::new(params);
-    if let Some(dir) = &trace_dir {
-        ctx = ctx.with_trace_dir(dir);
-    }
-    if let Some(dir) = &metrics_dir {
-        ctx = ctx.with_metrics_dir(dir);
-    }
-    if let Some(dir) = &profile_dir {
-        ctx = ctx.with_profile_dir(dir);
-    }
-    let ctx = ctx;
     // One store handle and one batch number for the whole invocation, so
     // `batch=N` selects everything this campaign produced.
-    let mut store = store_dir
-        .as_ref()
-        .map(|dir| match sim_report::RunStore::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("experiments: cannot open run store {}: {e}", dir.display());
-                std::process::exit(EXIT_FATAL);
-            }
-        });
+    let mut store = open_store_or_exit("experiments", store_dir.as_deref());
     let batch = store.as_ref().map(|s| s.next_batch()).unwrap_or(0);
-    if let Some(s) = &store {
-        ctx.set_run_id_base(s.next_seq());
-    }
+    let ctx = experiment_context(
+        params,
+        trace_dir.as_deref(),
+        metrics_dir.as_deref(),
+        profile_dir.as_deref(),
+        store.as_ref(),
+    );
     println!(
         "# smtsim experiment campaign ({} budget: warmup {} insts, {} measured cycles/run)\n",
         if fast { "fast" } else { "full" },
@@ -678,6 +663,45 @@ fn main() {
         }
         println!("  [{exhibit} took {:.1?}]\n", t0.elapsed());
     }
+}
+
+/// Open the `--store` run store (when given), exiting `EXIT_FATAL` with
+/// a `who`-prefixed diagnostic when it cannot be opened.
+fn open_store_or_exit(who: &str, dir: Option<&Path>) -> Option<sim_report::RunStore> {
+    let dir = dir?;
+    match sim_report::RunStore::open(dir) {
+        Ok(store) => Some(store),
+        Err(e) => {
+            eprintln!("{who}: cannot open run store {}: {e}", dir.display());
+            std::process::exit(EXIT_FATAL);
+        }
+    }
+}
+
+/// The invocation's experiment context: `params` plus whichever per-run
+/// trace, metrics and profile directories were given. With a run store,
+/// run ids start past its records so artifact names never collide.
+fn experiment_context(
+    params: ExperimentParams,
+    trace_dir: Option<&Path>,
+    metrics_dir: Option<&Path>,
+    profile_dir: Option<&Path>,
+    store: Option<&sim_report::RunStore>,
+) -> ExperimentContext {
+    let mut ctx = ExperimentContext::new(params);
+    if let Some(dir) = trace_dir {
+        ctx = ctx.with_trace_dir(dir);
+    }
+    if let Some(dir) = metrics_dir {
+        ctx = ctx.with_metrics_dir(dir);
+    }
+    if let Some(dir) = profile_dir {
+        ctx = ctx.with_profile_dir(dir);
+    }
+    if let Some(store) = store {
+        ctx.set_run_id_base(store.next_seq());
+    }
+    ctx
 }
 
 /// Harness observers for a campaign subcommand: a live metrics registry
@@ -807,28 +831,16 @@ fn run_bench_baseline(
     // With a store, the baseline JSON lands in its artifact directory by
     // default so the store stays self-describing.
     let out = out.or_else(|| artifact_dir.as_ref().map(|d| d.join("BENCH.json")));
-    let mut store = store_dir
-        .as_ref()
-        .map(|dir| match sim_report::RunStore::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!(
-                    "bench-baseline: cannot open run store {}: {e}",
-                    dir.display()
-                );
-                std::process::exit(EXIT_FATAL);
-            }
-        });
-    let mut ctx = ExperimentContext::new(ExperimentParams::bench());
-    if let Some(s) = &store {
-        ctx.set_run_id_base(s.next_seq());
-    }
-    if let Some(dir) = &metrics_dir {
-        ctx = ctx.with_metrics_dir(dir);
-    }
-    if let Some(dir) = &profile_dir {
-        ctx = ctx.with_profile_dir(dir);
-    }
+    let mut store = open_store_or_exit("bench-baseline", store_dir.as_deref());
+    // `--trace` feeds only the campaign-level harness trace; bench runs
+    // attach no per-run traces.
+    let ctx = experiment_context(
+        ExperimentParams::bench(),
+        None,
+        metrics_dir.as_deref(),
+        profile_dir.as_deref(),
+        store.as_ref(),
+    );
     println!(
         "# smtsim bench-baseline (schema v{}, {} seed(s)/exhibit, warmup {} insts, {} measured cycles/run)\n",
         bench::BENCH_SCHEMA_VERSION,
@@ -971,33 +983,19 @@ fn run_fault_inject(
                 .join("INJECT.json")
         })
     });
-    let mut store = store_dir
-        .as_ref()
-        .map(|dir| match sim_report::RunStore::open(dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fault-inject: cannot open run store {}: {e}", dir.display());
-                std::process::exit(EXIT_FATAL);
-            }
-        });
+    let mut store = open_store_or_exit("fault-inject", store_dir.as_deref());
     let params = if fast {
         ExperimentParams::fast()
     } else {
         ExperimentParams::full()
     };
-    let mut ctx = ExperimentContext::new(params);
-    if let Some(s) = &store {
-        ctx.set_run_id_base(s.next_seq());
-    }
-    if let Some(dir) = &trace_dir {
-        ctx = ctx.with_trace_dir(dir);
-    }
-    if let Some(dir) = &metrics_dir {
-        ctx = ctx.with_metrics_dir(dir);
-    }
-    if let Some(dir) = &profile_dir {
-        ctx = ctx.with_profile_dir(dir);
-    }
+    let ctx = experiment_context(
+        params,
+        trace_dir.as_deref(),
+        metrics_dir.as_deref(),
+        profile_dir.as_deref(),
+        store.as_ref(),
+    );
     println!(
         "# smtsim fault-inject (schema v{}, {} salt(s), {} IQ trials/campaign, warmup {} insts, {} measured cycles/run)\n",
         faultinject::FAULT_SCHEMA_VERSION,

@@ -1,4 +1,8 @@
 //! Low-level simulation driver shared by every experiment.
+//!
+//! Every measured run — exhibits, bench samples, checkpointed campaign
+//! jobs — goes through one driver (`drive`); checkpointing is an
+//! optional argument to it, not a separate code path.
 
 use crate::checkpoint::{
     decode_checkpoint, run_measured_checkpointed, CheckpointPolicy, C_SNAPSHOTS_RESTORED,
@@ -15,7 +19,7 @@ use sim_profile::ProfileReport;
 use sim_trace::chrome::ChromeTraceSink;
 use sim_trace::timing::{PhaseTimings, StageSeconds};
 use sim_trace::{TraceEvent, Tracer};
-use smt_sim::{CancelToken, FetchPolicyKind, Pipeline, SimLimits};
+use smt_sim::{CancelToken, FetchPolicyKind, Pipeline, SimLimits, SimStats};
 use workload_gen::WorkloadMix;
 
 /// Everything one simulation produced.
@@ -43,16 +47,19 @@ pub struct RunOutcome {
     /// Host wall-clock cost of the run, by phase.
     pub timings: PhaseTimings,
     /// Simulated cycles per host second over the measured window — the
-    /// simulator's throughput. For a checkpoint-restored run the cycle
-    /// count covers the whole measured window while the wall time covers
-    /// only the simulated tail, so the figure is only comparable across
-    /// fresh (non-restored) runs; the bench baseline uses fresh runs.
+    /// simulator's throughput. Only cycles this process simulated count:
+    /// a checkpoint-restored run divides its simulated tail (final cycle
+    /// minus restore cycle) by the tail's wall time, so restored and
+    /// fresh samples are comparable.
     pub cycles_per_sec: f64,
     /// Per-pipeline-stage wall-clock breakdown (traced runs only).
     pub stage_seconds: Option<StageSeconds>,
     /// Digest of the run's sim-metrics registry (metrics-enabled
     /// contexts only).
     pub sim_metrics: Option<MetricsSummary>,
+    /// Raw pipeline statistics over the measured window (e.g. Figure
+    /// 2's ready-queue census).
+    pub stats: SimStats,
 }
 
 /// Run one (mix, scheme, fetch policy) combination under the context's
@@ -79,85 +86,18 @@ pub fn run_scheme_salted(
     fetch: FetchPolicyKind,
     salt: u64,
 ) -> RunOutcome {
-    run_scheme_cancellable(ctx, mix, scheme, fetch, salt, None)
+    drive(ctx, mix, scheme, fetch, salt, None, None).expect("uncheckpointed runs cannot fail")
 }
 
-/// [`run_scheme_salted`] with an optional cooperative cancel token: the
-/// supervised campaign paths thread the harness's per-attempt token in
-/// so a wall-clock deadline can stop the simulation at the next
-/// interval-clock tick instead of waiting out the full cycle budget.
-pub fn run_scheme_cancellable(
-    ctx: &ExperimentContext,
-    mix: &WorkloadMix,
-    scheme: Scheme,
-    fetch: FetchPolicyKind,
-    salt: u64,
-    cancel: Option<CancelToken>,
-) -> RunOutcome {
-    let mut timings = PhaseTimings::default();
-    let run_id = ctx.next_run_id();
-
-    let programs = PhaseTimings::time(&mut timings.generate_s, || {
-        ctx.mix_programs_salted(mix, salt)
-    });
-    let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-    let mut pipeline = Pipeline::new(ctx.machine.clone(), programs, policies);
-    if let Some(token) = cancel {
-        pipeline.set_cancel_token(token);
-    }
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-
-    let start = PhaseTimings::time(&mut timings.warmup_s, || {
-        pipeline.warm_up(ctx.params.warmup_insts)
-    });
-    let mut collector =
-        AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000).with_start_cycle(start);
-    collector.set_profiling(ctx.profile_dir().is_some());
-    let result = PhaseTimings::time(&mut timings.measure_s, || {
-        pipeline.run(SimLimits::cycles(ctx.params.run_cycles), &mut collector)
-    });
-    let avf = PhaseTimings::time(&mut timings.collect_s, || collector.report());
-    let mut profile = pipeline.profile_report();
-    profile.merge(&collector.profile_report(), "avf");
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
-    pipeline.tracer().flush();
-    let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
-
-    let outcome = RunOutcome {
-        mix: mix.name.clone(),
-        scheme: scheme.label(),
-        fetch,
-        avf,
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
-        dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
-        deadlocked: result.deadlocked,
-        cancelled: result.cancelled,
-        salt,
-        cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
-        timings,
-        stage_seconds,
-        sim_metrics,
-    };
-    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
-    outcome
-}
-
-/// [`run_scheme_cancellable`] with mid-run checkpointing: before
-/// simulating, the job's [`SnapshotStore`](sim_harness::SnapshotStore)
-/// is consulted and the newest valid snapshot — if any — is restored
-/// (skipping corrupt generations, with a typed
-/// [`JobError::Corrupt`] when every generation is bad), so the run
-/// continues bit-identically from the last checkpoint instead of
-/// re-simulating from cycle zero. A restored run skips warmup — the
-/// warmed-up, mid-measurement machine *is* the snapshot.
+/// [`run_scheme_salted`] with an optional cooperative cancel token and
+/// mid-run checkpointing: before simulating, the job's
+/// [`SnapshotStore`](sim_harness::SnapshotStore) is consulted and the
+/// newest valid snapshot — if any — is restored (skipping corrupt
+/// generations, with a typed [`JobError::Corrupt`] when every
+/// generation is bad), so the run continues bit-identically from the
+/// last checkpoint instead of re-simulating from cycle zero. A restored
+/// run skips warmup — the warmed-up, mid-measurement machine *is* the
+/// snapshot.
 ///
 /// During the measured window a snapshot lands in the store every
 /// `policy.every` simulated cycles (rounded to the sampling-interval
@@ -165,7 +105,9 @@ pub fn run_scheme_cancellable(
 /// the campaign layer uses to mark the journal `checkpointed`. With
 /// `policy.selfcheck`, structural invariants are validated at every
 /// boundary and the run fails fast as [`JobError::Diverged`] instead of
-/// persisting a poisoned checkpoint.
+/// persisting a poisoned checkpoint. The cancel token lets a wall-clock
+/// deadline stop the run (warmup included) at the next interval-clock
+/// tick instead of waiting out the full cycle budget.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheme_checkpointed(
     ctx: &ExperimentContext,
@@ -176,6 +118,33 @@ pub fn run_scheme_checkpointed(
     cancel: Option<CancelToken>,
     policy: &CheckpointPolicy<'_>,
     mut on_checkpoint: impl FnMut(u64),
+) -> Result<RunOutcome, JobError> {
+    drive(
+        ctx,
+        mix,
+        scheme,
+        fetch,
+        salt,
+        cancel,
+        Some((policy, &mut on_checkpoint)),
+    )
+}
+
+/// The one measured-run driver. Generates the programs, builds the
+/// pipeline and collector, restores the newest valid snapshot when a
+/// checkpoint policy is given (warming up otherwise), attaches the
+/// context's observers, runs the measured window, then reports,
+/// exports and records the run's manifest. Without a policy the run
+/// cannot fail; with one, restore and snapshot failures surface as
+/// typed [`JobError`]s.
+pub(crate) fn drive(
+    ctx: &ExperimentContext,
+    mix: &WorkloadMix,
+    scheme: Scheme,
+    fetch: FetchPolicyKind,
+    salt: u64,
+    cancel: Option<CancelToken>,
+    checkpoint: Option<(&CheckpointPolicy<'_>, &mut dyn FnMut(u64))>,
 ) -> Result<RunOutcome, JobError> {
     let mut timings = PhaseTimings::default();
     let run_id = ctx.next_run_id();
@@ -193,60 +162,43 @@ pub fn run_scheme_checkpointed(
         let collector = AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000);
         (pipeline, collector, dvm_handle)
     };
-
-    let restored = policy.store.load_latest_valid(|bytes| {
-        let (mut p, mut c, h) = build();
-        let cycle = decode_checkpoint(bytes, &mut p, &mut c)?;
-        Ok((p, c, h, cycle))
-    })?;
-    let (mut pipeline, mut collector, dvm_handle) = match restored {
-        Some(loaded) => {
-            if loaded.skipped_corrupt > 0 {
-                policy
-                    .metrics
-                    .counter_add(C_SNAPSHOTS_SKIPPED_CORRUPT, loaded.skipped_corrupt as u64);
-                eprintln!(
-                    "experiments: skipped {} corrupt snapshot(s) for {} / {}; resuming from cycle {}",
-                    loaded.skipped_corrupt,
-                    mix.name,
-                    scheme.label(),
-                    loaded.cycle,
-                );
-            }
-            policy.metrics.counter_add(C_SNAPSHOTS_RESTORED, 1);
-            let (p, c, h, _) = loaded.value;
-            (p, c, h)
-        }
-        None => {
-            let (mut p, c, h) = build();
-            let start =
-                PhaseTimings::time(&mut timings.warmup_s, || p.warm_up(ctx.params.warmup_insts));
-            (p, c.with_start_cycle(start), h)
-        }
+    let restored = match &checkpoint {
+        Some((policy, _)) => restore_latest(policy, mix, scheme, build)?,
+        None => None,
     };
+    let was_restored = restored.is_some();
+    let (mut pipeline, mut collector, dvm_handle) = restored.unwrap_or_else(build);
+    // Run control, not observation: deadlines may stop warmup too, and
+    // the heartbeat counts every cycle this process simulates.
     if let Some(token) = cancel {
         pipeline.set_cancel_token(token);
     }
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-    collector.set_profiling(ctx.profile_dir().is_some());
+    if let Some(counter) = ctx.progress_counter() {
+        pipeline.set_progress_counter(counter);
+    }
+    if !was_restored {
+        let start = PhaseTimings::time(&mut timings.warmup_s, || {
+            pipeline.warm_up(ctx.params.warmup_insts)
+        });
+        collector = collector.with_start_cycle(start);
+    }
+    let metrics = attach_observers(ctx, &mut pipeline, &mut collector, run_id, mix, scheme);
 
-    // The cycle budget is measured relative to the snapshotted
+    // The cycle budget is measured relative to the (possibly restored)
     // measurement origin, so a restored run resumed with the same
     // limits stops at the same absolute cycle a straight-through run
     // would have.
-    let run = PhaseTimings::time(&mut timings.measure_s, || {
-        run_measured_checkpointed(
-            &mut pipeline,
-            collector,
-            SimLimits::cycles(ctx.params.run_cycles),
-            policy,
-            &mut on_checkpoint,
-        )
+    let limits = SimLimits::cycles(ctx.params.run_cycles);
+    let start_cycle = pipeline.cycle();
+    let measured = PhaseTimings::time(&mut timings.measure_s, || match checkpoint {
+        Some((policy, on_checkpoint)) => {
+            run_measured_checkpointed(&mut pipeline, collector, limits, policy, on_checkpoint)
+                .map(|run| (run.result, run.collector))
+        }
+        None => Ok((pipeline.run(limits, &mut collector), collector)),
     });
-    let run = match run {
-        Ok(run) => run,
+    let (result, collector) = match measured {
+        Ok(done) => done,
         Err(err) => {
             // A failed attempt must still leave whole observability
             // artifacts behind: flush the trace sink and export the
@@ -257,8 +209,7 @@ pub fn run_scheme_checkpointed(
             return Err(err);
         }
     };
-    let result = run.result;
-    let collector = run.collector;
+
     let avf = PhaseTimings::time(&mut timings.collect_s, || collector.report());
     let mut profile = pipeline.profile_report();
     profile.merge(&collector.profile_report(), "avf");
@@ -267,87 +218,63 @@ pub fn run_scheme_checkpointed(
     let stage_seconds = stage_snapshot(&profile);
     let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
 
+    let stats = result.stats;
     let outcome = RunOutcome {
         mix: mix.name.clone(),
         scheme: scheme.label(),
         fetch,
         avf,
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
+        throughput_ipc: stats.throughput_ipc(),
+        harmonic_ipc: stats.harmonic_ipc(),
+        l2_misses: stats.l2_misses,
+        flushes: stats.flushes,
+        mispredict_rate: stats.mispredict_rate(),
+        governor_stall_cycles: stats.governor_stall_cycles,
         dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
         deadlocked: result.deadlocked,
         cancelled: result.cancelled,
         salt,
-        cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
+        cycles_per_sec: cycles_per_sec(pipeline.cycle() - start_cycle, timings.measure_s),
         timings,
         stage_seconds,
         sim_metrics,
+        stats,
     };
     ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
     Ok(outcome)
 }
 
-/// Drive one combination for its raw pipeline statistics only, with no
-/// ground-truth AVF collection (e.g. Figure 2's ready-queue census).
-/// Phase timing, trace export, and manifest logging match
-/// [`run_scheme`]; the manifest's AVF metrics read as zero.
-pub fn run_stats_only(
-    ctx: &ExperimentContext,
+/// Restore the newest valid snapshot in the policy's store into objects
+/// from `build`, counting restores and skipped corrupt generations on
+/// the policy's metrics. `None` when the store holds no snapshot.
+fn restore_latest<H>(
+    policy: &CheckpointPolicy<'_>,
     mix: &WorkloadMix,
     scheme: Scheme,
-    fetch: FetchPolicyKind,
-) -> smt_sim::SimResult {
-    let mut timings = PhaseTimings::default();
-    let run_id = ctx.next_run_id();
-
-    let programs = PhaseTimings::time(&mut timings.generate_s, || ctx.mix_programs(mix));
-    let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-    let mut pipeline = Pipeline::new(ctx.machine.clone(), programs, policies);
-    attach_tracing(ctx, &mut pipeline, run_id, mix, scheme);
-    attach_profiling(ctx, &mut pipeline);
-    let metrics = attach_metrics(ctx, &mut pipeline);
-
-    PhaseTimings::time(&mut timings.warmup_s, || {
-        pipeline.warm_up(ctx.params.warmup_insts)
-    });
-    let result = PhaseTimings::time(&mut timings.measure_s, || {
-        pipeline.run(
-            SimLimits::cycles(ctx.params.run_cycles),
-            &mut smt_sim::NullObserver,
-        )
-    });
-    let profile = pipeline.profile_report();
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
-    pipeline.tracer().flush();
-    let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
-
-    let outcome = RunOutcome {
-        mix: mix.name.clone(),
-        scheme: scheme.label(),
-        fetch,
-        avf: AvfReport::default(),
-        throughput_ipc: result.stats.throughput_ipc(),
-        harmonic_ipc: result.stats.harmonic_ipc(),
-        l2_misses: result.stats.l2_misses,
-        flushes: result.stats.flushes,
-        mispredict_rate: result.stats.mispredict_rate(),
-        governor_stall_cycles: result.stats.governor_stall_cycles,
-        dvm_avg_ratio: dvm_handle.map(|h| h.lock().average_ratio()),
-        deadlocked: result.deadlocked,
-        cancelled: result.cancelled,
-        salt: 0,
-        cycles_per_sec: cycles_per_sec(result.stats.cycles, timings.measure_s),
-        timings,
-        stage_seconds,
-        sim_metrics,
+    build: impl Fn() -> (Pipeline, AvfCollector, H),
+) -> Result<Option<(Pipeline, AvfCollector, H)>, JobError> {
+    let Some(loaded) = policy.store.load_latest_valid(|bytes| {
+        let (mut p, mut c, h) = build();
+        decode_checkpoint(bytes, &mut p, &mut c)?;
+        Ok((p, c, h))
+    })?
+    else {
+        return Ok(None);
     };
-    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
-    result
+    if loaded.skipped_corrupt > 0 {
+        policy
+            .metrics
+            .counter_add(C_SNAPSHOTS_SKIPPED_CORRUPT, loaded.skipped_corrupt as u64);
+        eprintln!(
+            "experiments: skipped {} corrupt snapshot(s) for {} / {}; resuming from cycle {}",
+            loaded.skipped_corrupt,
+            mix.name,
+            scheme.label(),
+            loaded.cycle,
+        );
+    }
+    policy.metrics.counter_add(C_SNAPSHOTS_RESTORED, 1);
+    Ok(Some(loaded.value))
 }
 
 /// Simulated cycles per host wall-clock second over the measured window.
@@ -380,16 +307,29 @@ fn stage_snapshot(profile: &ProfileReport) -> Option<StageSeconds> {
     })
 }
 
-/// When the context carries a profile directory, turn on span profiling
-/// (independently of tracing — a `--profile` run need not pay for a
-/// Chrome trace).
-fn attach_profiling(ctx: &ExperimentContext, pipeline: &mut Pipeline) {
-    if ctx.profile_dir().is_some() {
+/// Attach the context's observers to a warmed-up (or restored) run: a
+/// per-run Chrome trace, span profiling — independently of tracing, so
+/// a `--profile` run need not pay for a Chrome trace — and a fresh
+/// sim-metrics registry (forwarded through the pipeline to the
+/// governor), which is returned for export.
+fn attach_observers(
+    ctx: &ExperimentContext,
+    pipeline: &mut Pipeline,
+    collector: &mut AvfCollector,
+    run_id: u64,
+    mix: &WorkloadMix,
+    scheme: Scheme,
+) -> Option<Metrics> {
+    attach_tracing(ctx, pipeline, run_id, mix, scheme);
+    let profiling = ctx.profile_dir().is_some();
+    if profiling {
         pipeline.set_stage_profiling(true);
     }
-    if let Some(counter) = ctx.progress_counter() {
-        pipeline.set_progress_counter(counter);
-    }
+    collector.set_profiling(profiling);
+    ctx.metrics_dir()?;
+    let metrics = Metrics::new();
+    pipeline.set_metrics(metrics.clone());
+    Some(metrics)
 }
 
 /// Export a finished run's merged profile: a JSON report and a
@@ -474,15 +414,6 @@ fn attach_tracing(
     ));
     pipeline.set_tracer(Tracer::new(ChromeTraceSink::new(path)));
     pipeline.set_stage_profiling(true);
-}
-
-/// When the context carries a metrics directory, attach a fresh
-/// sim-metrics registry to the pipeline (and through it, the governor).
-fn attach_metrics(ctx: &ExperimentContext, pipeline: &mut Pipeline) -> Option<Metrics> {
-    ctx.metrics_dir()?;
-    let metrics = Metrics::new();
-    pipeline.set_metrics(metrics.clone());
-    Some(metrics)
 }
 
 /// Export a finished run's registry (per-interval JSONL series +
@@ -572,7 +503,7 @@ mod tests {
             metrics: &metrics,
         };
 
-        let mut checkpoints = 0u64;
+        let mut checkpoints = Vec::new();
         let first = run_scheme_checkpointed(
             &ctx,
             &mix,
@@ -581,12 +512,23 @@ mod tests {
             0,
             None,
             &policy,
-            |_| checkpoints += 1,
+            |cycle| checkpoints.push(cycle),
         )
         .unwrap();
         assert!(!first.deadlocked && !first.cancelled);
-        assert!(checkpoints >= 2, "bench budget spans several boundaries");
+        assert!(
+            checkpoints.len() >= 2,
+            "bench budget spans several boundaries"
+        );
         assert!(!store.list().is_empty(), "snapshots persisted on disk");
+        // The first boundary (the measurement origin) only anchors the
+        // cadence, so the origin sits one spacing before the first
+        // snapshot; the resumed run simulates from the last snapshot to
+        // the end of the budget.
+        let origin = checkpoints[0] - policy.every;
+        let last = *checkpoints.last().unwrap();
+        let tail = origin + ctx.params.run_cycles - last;
+        assert!(tail < ctx.params.run_cycles);
 
         // A second invocation restores the newest snapshot (taken at
         // the last mid-run boundary), simulates only the tail, and
@@ -610,7 +552,65 @@ mod tests {
         );
         assert_eq!(resumed.l2_misses, first.l2_misses);
         assert_eq!(resumed.flushes, first.flushes);
+        assert_eq!(resumed.stats.cycles, ctx.params.run_cycles);
+        // Throughput counts only the simulated tail, not the restored
+        // part of the measured window.
+        let simulated = resumed.cycles_per_sec * resumed.timings.measure_s;
+        assert_eq!(simulated.round() as u64, tail, "{simulated} cycles");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpointing_does_not_change_outcomes() {
+        let ctx = ExperimentContext::new(ExperimentParams {
+            warmup_insts: 40_000,
+            run_cycles: 40_000,
+            ..ExperimentParams::fast()
+        });
+        let cases = [
+            ("CPU-A", Scheme::Baseline),
+            ("MEM-A", Scheme::DvmDynamic { target: 0.15 }),
+        ];
+        for (name, scheme) in cases {
+            let mix = workload_gen::mix_by_name(name).unwrap();
+            let plain = run_scheme(&ctx, &mix, scheme, FetchPolicyKind::Icount);
+
+            let dir = std::env::temp_dir()
+                .join("smtsim_runner_paths_test")
+                .join(name);
+            std::fs::remove_dir_all(&dir).ok();
+            let store = sim_harness::SnapshotStore::new(&dir, "job");
+            let policy = CheckpointPolicy {
+                store: &store,
+                every: 10_000,
+                selfcheck: true,
+                metrics: &Metrics::off(),
+            };
+            let mut snapshots = 0;
+            let ckpt = run_scheme_checkpointed(
+                &ctx,
+                &mix,
+                scheme,
+                FetchPolicyKind::Icount,
+                0,
+                None,
+                &policy,
+                |_| snapshots += 1,
+            )
+            .unwrap();
+            assert!(snapshots >= 2, "{name}: the run crossed boundaries");
+            assert_eq!(
+                ckpt.throughput_ipc.to_bits(),
+                plain.throughput_ipc.to_bits(),
+                "{name}"
+            );
+            assert_eq!(ckpt.avf.iq_avf.to_bits(), plain.avf.iq_avf.to_bits());
+            assert_eq!(ckpt.l2_misses, plain.l2_misses);
+            assert_eq!(ckpt.flushes, plain.flushes);
+            assert_eq!(ckpt.governor_stall_cycles, plain.governor_stall_cycles);
+            assert_eq!(ckpt.stats.cycles, plain.stats.cycles);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
