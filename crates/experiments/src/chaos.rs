@@ -32,8 +32,9 @@
 //!   in the recovery pass must be zero.
 //! * **No lost completions.** Journal records that were durably written
 //!   (and not damaged by injected faults) always replay.
-//! * **Store integrity.** The run index either loads or fails typed;
-//!   every record it admits must have an artifact that reads back
+//! * **Store integrity.** The run index loads — an unopenable store
+//!   is a violation, since damaged lines are skipped, never fatal —
+//!   and every record it admits must have an artifact that reads back
 //!   bit-exact against the reference (registration readback-verifies
 //!   before appending, so a corrupt artifact in the index means the
 //!   verification gate leaked).
@@ -489,6 +490,9 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
     let recovery_execs = Mutex::new(BTreeMap::new());
     let recovery_corrupt = AtomicU64::new(0);
 
+    // The chaos pass's `.tmp` litter, reaped as the journal's open would.
+    let journal_reaped_tmp =
+        sim_chaos::sweep_tmp_files(&sim_chaos::RealFs, &round_dir, None).unwrap_or(0);
     // Which jobs does the journal hold valid records for *before* the
     // recovery run? Those must replay, not re-execute.
     let (journal_stats, valid_before): (_, BTreeSet<String>) = {
@@ -597,7 +601,10 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
             }
             (verified, None)
         }
-        Ok(Err(e)) => (0, Some(report_error_kind(&e).to_string())),
+        Ok(Err(e)) => {
+            violations.push(format!("run store unopenable after recovery: {e}"));
+            (0, Some(report_error_kind(&e).to_string()))
+        }
         Err(_) => {
             violations.push("store open panicked instead of failing typed".to_string());
             (0, Some("panic".to_string()))
@@ -618,7 +625,7 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
         journal_loaded: journal_stats.loaded as u64,
         journal_torn: journal_stats.torn as u64,
         journal_first_damaged_line: journal_stats.first_damaged_line,
-        journal_reaped_tmp: journal_stats.reaped_tmp as u64,
+        journal_reaped_tmp: journal_reaped_tmp as u64,
         replayed,
         reexecuted,
         corrupt_snapshot_recoveries: chaos_corrupt.load(Ordering::Relaxed)
@@ -745,6 +752,34 @@ mod tests {
         let container = write_container(99, 16, &state.to_le_bytes());
         assert_eq!(decode_snapshot(&container, 99), Ok((16, state)));
         assert!(decode_snapshot(&container, 98).is_err());
+    }
+
+    #[test]
+    fn rounds_that_tear_the_store_index_leave_it_openable() {
+        let dir = std::env::temp_dir().join("chaos-mod-torn-store-rounds");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Seed 42, round 0: short writes and torn renames while the
+        // chaos pass registers runs once left the index unopenable.
+        let report = run_round(0, 13_679_457_532_755_275_413, &dir);
+        assert!(
+            report.violations.is_empty(),
+            "violations: {:?}",
+            report.violations
+        );
+        // Seed 7, round 0: faults tear the index's first line and a
+        // later registration appends after it.
+        let report = run_round(0, 7_191_089_600_892_374_487, &dir);
+        assert!(
+            report.violations.is_empty(),
+            "violations: {:?}",
+            report.violations
+        );
+        let store = RunStore::open(dir.join("round-0000").join("store")).unwrap();
+        assert_eq!(store.load_stats().first_damaged_line, Some(1));
+        assert_eq!(store.records().len() as u64, report.store_records);
+        assert!(report.store_records > 0, "the record after the tear loads");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

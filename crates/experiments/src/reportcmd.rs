@@ -379,9 +379,11 @@ pub fn cmd_report(args: &ReportArgs) -> i32 {
         Ok(s) => s,
         Err(e) => return fatal(&e),
     };
-    if store.torn_tail {
+    let stats = store.load_stats();
+    if let Some(first) = stats.first_damaged_line {
         eprintln!(
-            "report: warning: dropped a torn final index line in {} (crash mid-append?)",
+            "report: warning: skipped {} damaged index line(s) in {} (first at line {first})",
+            stats.torn,
             args.store.join(RunStore::INDEX_FILE).display()
         );
     }

@@ -72,6 +72,14 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
+impl From<std::io::Error> for JobError {
+    fn from(e: std::io::Error) -> JobError {
+        JobError::Io {
+            detail: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

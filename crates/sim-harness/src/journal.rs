@@ -1,18 +1,19 @@
 //! Append-only JSONL checkpoint journal for resumable campaigns.
 //!
-//! One line per completed job. A crash while appending can tear at most
-//! the final line; [`Journal::open`] tolerates that by discarding any
-//! unparseable tail and counting it, so `--resume` loses at most the
+//! One line per completed job or checkpoint, kept in a [`RecordLog`]:
+//! a crash while appending tears at most the final line, which
+//! [`Journal::open`] skips and counts, so `--resume` loses at most the
 //! one job that was mid-write.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use sim_chaos::{sweep_tmp_files, RealFs, Vfs};
 
 use crate::error::JobError;
+use crate::recordlog::{LogLine, LogRecord, LogStats, RecordLog};
 
 /// Version stamped into every record; records with a different version
 /// are skipped (and counted) on load so old journals never corrupt a
@@ -103,55 +104,21 @@ pub struct JournalRecord {
     pub payload: String,
 }
 
-/// Minimal probe used to classify unparseable lines: if the line at
-/// least carries a `v` field with the wrong version it is an old-schema
-/// record, not a torn write. Extra fields are ignored on decode, so
-/// this parses any record shape that has ever stamped a version.
-#[derive(Deserialize)]
-struct VersionProbe {
-    v: u32,
+impl LogRecord for JournalRecord {
+    const VERSION_FIELD: &'static str = "v";
+    const VERSION: u32 = JOURNAL_SCHEMA_VERSION;
 }
 
-/// Statistics from loading an existing journal file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalLoadStats {
-    /// Records accepted into the replay map.
-    pub loaded: usize,
-    /// Lines that failed to parse (torn tail, corruption).
-    pub torn: usize,
-    /// Parsed records whose schema version did not match.
-    pub wrong_version: usize,
-    /// 1-based line number of the first damaged (torn/corrupt) line,
-    /// if any — typed damage report for mid-file corruption. Every
-    /// record on a line before this one was recovered.
-    pub first_damaged_line: Option<usize>,
-    /// `.tmp` litter files reaped from the journal directory on open
-    /// (leftovers of a crash between an atomic write and its rename).
-    pub reaped_tmp: usize,
-}
-
-impl JournalLoadStats {
-    /// Whether the journal file showed any damage (torn or corrupt
-    /// lines) on load. Schema-version skew is not damage.
-    pub fn damaged(&self) -> bool {
-        self.first_damaged_line.is_some()
-    }
-}
-
-/// Append-only JSONL journal living at `<dir>/journal.jsonl`.
-///
-/// All I/O goes through a [`Vfs`] handle so the chaos harness can
-/// inject environment faults; production callers use [`Journal::open`],
-/// which binds the real filesystem.
+/// Append-only JSONL journal living at `<dir>/journal.jsonl`, a fold
+/// over a [`RecordLog`].
 pub struct Journal {
-    path: PathBuf,
-    fs: Arc<dyn Vfs>,
+    log: RecordLog<JournalRecord>,
     records: BTreeMap<JobKey, String>,
     /// Latest checkpoint payload per key. A key leaves this map the
     /// moment a `done` record lands — a completion supersedes any
     /// checkpoint taken on the way there.
     checkpoints: BTreeMap<JobKey, String>,
-    load_stats: JournalLoadStats,
+    load_stats: LogStats,
 }
 
 impl Journal {
@@ -159,92 +126,54 @@ impl Journal {
     pub const FILE_NAME: &'static str = "journal.jsonl";
 
     /// Open (creating if absent) the journal in `dir`, replaying any
-    /// existing records. Unparseable lines are discarded and counted
-    /// as `torn`; parseable records with a different schema version are
-    /// counted as `wrong_version`. When the same key appears more than
-    /// once, the later record wins.
+    /// existing records; the later record for a key wins. Records with
+    /// an unknown `state` count as `wrong_version`.
     pub fn open(dir: &Path) -> Result<Journal, JobError> {
         Self::open_in(Arc::new(RealFs), dir)
     }
 
     /// [`Journal::open`] against an explicit [`Vfs`] — the seam the
     /// chaos harness uses to torture the journal. Also reaps any `.tmp`
-    /// litter a crashed atomic write left in `dir` (counted in
-    /// [`JournalLoadStats::reaped_tmp`]); the sweep is safe here
+    /// litter a crashed atomic write left in `dir`; the sweep is safe
     /// because a journal directory has exactly one writer, opened
     /// before any job runs.
     pub fn open_in(vfs: Arc<dyn Vfs>, dir: &Path) -> Result<Journal, JobError> {
-        vfs.create_dir_all(dir).map_err(io_err)?;
-        let path = dir.join(Self::FILE_NAME);
+        let _ = sweep_tmp_files(vfs.as_ref(), dir, None);
+        let (log, lines, mut load_stats) =
+            RecordLog::<JournalRecord>::open(vfs, dir, Self::FILE_NAME)?;
         let mut records = BTreeMap::new();
         let mut checkpoints = BTreeMap::new();
-        let mut load_stats = JournalLoadStats {
-            reaped_tmp: sweep_tmp_files(vfs.as_ref(), dir, None).unwrap_or(0),
-            ..JournalLoadStats::default()
-        };
-        if vfs.exists(&path) {
-            // Read raw bytes and decode lossily: read-time bit-rot can
-            // make a line invalid UTF-8, and that must degrade to "this
-            // line is damaged", never to "the whole journal is lost".
-            let bytes = vfs.read(&path).map_err(io_err)?;
-            let text = String::from_utf8_lossy(&bytes);
-            for (lineno, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
+        for line in lines {
+            let LogLine::Record(rec) = line else {
+                continue;
+            };
+            match rec.state.as_str() {
+                STATE_DONE => {
+                    checkpoints.remove(&rec.key);
+                    records.insert(rec.key, rec.payload);
                 }
-                match serde::json::from_str::<JournalRecord>(line) {
-                    Ok(rec) if rec.v == JOURNAL_SCHEMA_VERSION => {
-                        match rec.state.as_str() {
-                            STATE_DONE => {
-                                checkpoints.remove(&rec.key);
-                                records.insert(rec.key, rec.payload);
-                                load_stats.loaded += 1;
-                            }
-                            STATE_CHECKPOINTED => {
-                                if !records.contains_key(&rec.key) {
-                                    checkpoints.insert(rec.key, rec.payload);
-                                }
-                                load_stats.loaded += 1;
-                            }
-                            // Unknown state from a future minor change:
-                            // ignore the record rather than misread it.
-                            _ => load_stats.wrong_version += 1,
-                        }
+                STATE_CHECKPOINTED => {
+                    if !records.contains_key(&rec.key) {
+                        checkpoints.insert(rec.key, rec.payload);
                     }
-                    Ok(_) => load_stats.wrong_version += 1,
-                    // A line that will not parse as the current schema
-                    // but still carries a version stamp is an old-schema
-                    // record (e.g. v1 without `state`), not a torn write.
-                    Err(_) => match serde::json::from_str::<VersionProbe>(line) {
-                        Ok(probe) if probe.v != JOURNAL_SCHEMA_VERSION => {
-                            load_stats.wrong_version += 1
-                        }
-                        _ => {
-                            load_stats.torn += 1;
-                            load_stats.first_damaged_line.get_or_insert(lineno + 1);
-                        }
-                    },
+                }
+                // Unknown state from a future minor change: ignore the
+                // record rather than misread it.
+                _ => {
+                    load_stats.loaded -= 1;
+                    load_stats.wrong_version += 1;
                 }
             }
-        } else {
-            // Create the (empty) journal eagerly so the campaign
-            // directory is observable as soon as the journal opens.
-            vfs.append(&path, b"").map_err(io_err)?;
         }
         Ok(Journal {
-            path,
-            fs: vfs,
+            log,
             records,
             checkpoints,
             load_stats,
         })
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    pub fn load_stats(&self) -> JournalLoadStats {
+    pub fn load_stats(&self) -> LogStats {
         self.load_stats
     }
 
@@ -293,17 +222,12 @@ impl Journal {
         body: &R,
     ) -> Result<String, JobError> {
         let payload = serde::json::to_string(body);
-        let rec = JournalRecord {
+        self.log.append(&JournalRecord {
             v: JOURNAL_SCHEMA_VERSION,
             key: key.clone(),
             state: state.to_string(),
             payload: payload.clone(),
-        };
-        let mut line = serde::json::to_string(&rec);
-        line.push('\n');
-        self.fs
-            .append(&self.path, line.as_bytes())
-            .map_err(io_err)?;
+        })?;
         Ok(payload)
     }
 
@@ -331,12 +255,6 @@ impl Journal {
             self.checkpoints.insert(key.clone(), payload);
         }
         Ok(())
-    }
-}
-
-fn io_err(e: std::io::Error) -> JobError {
-    JobError::Io {
-        detail: e.to_string(),
     }
 }
 
@@ -417,6 +335,31 @@ mod tests {
         assert_eq!(j.len(), 1);
         assert_eq!(j.load_stats().torn, 1);
         assert_eq!(j.decode::<String>(&key(1)).unwrap().unwrap(), "kept");
+    }
+
+    #[test]
+    fn record_after_a_torn_tail_survives_reopen() {
+        let dir = scratch("record_after_a_torn_tail");
+        {
+            let mut j = Journal::open(&dir).unwrap();
+            j.record(&key(1), &"first".to_string()).unwrap();
+        }
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join(Journal::FILE_NAME))
+            .unwrap();
+        f.write_all(b"{\"v\":2,\"key\":{\"exhi").unwrap();
+        drop(f);
+        {
+            // The resumed campaign's first record must not fuse onto
+            // the crash garbage.
+            let mut j = Journal::open(&dir).unwrap();
+            j.record(&key(2), &"second".to_string()).unwrap();
+        }
+        let j = Journal::open(&dir).unwrap();
+        assert_eq!(j.load_stats().loaded, 2);
+        assert_eq!(j.load_stats().torn, 1);
+        assert_eq!(j.decode::<String>(&key(2)).unwrap().unwrap(), "second");
     }
 
     #[test]

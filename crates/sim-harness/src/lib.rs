@@ -24,9 +24,10 @@
 //!   schema-versioned JSONL [`Journal`] keyed by
 //!   [`JobKey`] `(exhibit, scheme, seed, config-hash)`; re-running the
 //!   campaign against the same journal replays completed jobs from disk
-//!   and only simulates the remainder. The journal load tolerates a
-//!   torn final record, so a crash at any byte boundary loses at most
-//!   the job that was being written.
+//!   and only simulates the remainder. The journal is a [`RecordLog`],
+//!   which skips damaged lines and seals a torn tail before appending,
+//!   so a crash at any byte boundary loses at most the job that was
+//!   being written.
 //! * **Mid-run snapshots** — jobs that honor
 //!   [`HarnessConfig::snapshot_every`] persist versioned, checksummed
 //!   pipeline snapshots through a rotating [`SnapshotStore`] and mark
@@ -49,6 +50,7 @@ pub mod error;
 pub mod fsutil;
 pub mod journal;
 pub mod quarantine;
+pub mod recordlog;
 pub mod signal;
 pub mod snapshot;
 pub mod supervisor;
@@ -56,8 +58,9 @@ pub mod supervisor;
 pub use backoff::Backoff;
 pub use error::JobError;
 pub use fsutil::{atomic_write, atomic_write_bytes, atomic_write_bytes_in, tmp_sibling};
-pub use journal::{fnv1a, JobKey, Journal, JournalLoadStats, JOURNAL_SCHEMA_VERSION};
+pub use journal::{fnv1a, JobKey, Journal, JOURNAL_SCHEMA_VERSION};
 pub use quarantine::{Quarantine, QuarantineEntry, QUARANTINE_SCHEMA_VERSION};
+pub use recordlog::{LogLine, LogRecord, LogStats, RecordLog};
 pub use sim_chaos::{sweep_tmp_files, RealFs, Vfs};
 pub use snapshot::{LoadedSnapshot, SnapshotStore};
 pub use supervisor::{

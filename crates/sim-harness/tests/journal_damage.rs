@@ -1,7 +1,7 @@
 //! Journal robustness beyond the torn tail: arbitrary mid-file
 //! corruption and truncation. The loader must recover every record
 //! whose line lies fully before the damage and report the damage typed
-//! (`JournalLoadStats::first_damaged_line`), never panic, and never
+//! (`LogStats::first_damaged_line`), never panic, and never
 //! silently pretend the file was clean.
 
 use proptest::prelude::*;

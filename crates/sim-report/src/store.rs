@@ -14,14 +14,14 @@
 //!     BENCH.json / INJECT.json
 //! ```
 //!
-//! The index mirrors the harness journal's durability contract: records
-//! are appended one line at a time, a torn final line (crash or SIGINT
-//! mid-append) is tolerated on load, and an unknown `schema_version`
-//! anywhere is a typed, fatal [`ReportError::UnknownSchema`] — a store
-//! written by a newer layout must be rejected, not misread.
+//! The index is a [`RecordLog`]: damaged lines are skipped and reported
+//! in [`RunStore::load_stats`], and an unknown `schema_version` anywhere
+//! is a typed, fatal [`ReportError::UnknownSchema`] — a store written
+//! by a newer layout must be rejected, not misread.
 
 use serde::{Deserialize, Serialize};
 use sim_chaos::{RealFs, Vfs};
+use sim_harness::{LogLine, LogRecord, LogStats, RecordLog};
 use sim_metrics::summary::MetricsSummary;
 use std::fmt;
 use std::io;
@@ -72,6 +72,11 @@ pub struct RunRecord {
     pub sim_metrics: Option<MetricsSummary>,
 }
 
+impl LogRecord for RunRecord {
+    const VERSION_FIELD: &'static str = "schema_version";
+    const VERSION: u32 = REPORT_SCHEMA_VERSION;
+}
+
 impl RunRecord {
     /// The first artifact path of the given kind, if any.
     pub fn artifact(&self, kind: &str) -> Option<&str> {
@@ -93,7 +98,7 @@ pub enum ReportError {
         found: u32,
         supported: u32,
     },
-    /// A non-final index line (or an artifact) failed to parse.
+    /// An artifact failed to parse.
     Parse {
         what: String,
         detail: String,
@@ -140,17 +145,11 @@ pub fn check_schema(what: &str, found: u32, supported: u32) -> Result<(), Report
 }
 
 /// The open store: root directory plus the loaded index.
-///
-/// All index I/O goes through a [`Vfs`] handle so the chaos harness can
-/// inject environment faults; production callers use [`RunStore::open`],
-/// which binds the real filesystem.
 pub struct RunStore {
     root: PathBuf,
-    fs: Arc<dyn Vfs>,
+    log: RecordLog<RunRecord>,
     records: Vec<RunRecord>,
-    /// True when the final index line was torn (unparseable) and was
-    /// dropped on load — the crash-mid-append case.
-    pub torn_tail: bool,
+    load_stats: LogStats,
 }
 
 impl fmt::Debug for RunStore {
@@ -158,7 +157,7 @@ impl fmt::Debug for RunStore {
         f.debug_struct("RunStore")
             .field("root", &self.root)
             .field("records", &self.records.len())
-            .field("torn_tail", &self.torn_tail)
+            .field("load_stats", &self.load_stats)
             .finish()
     }
 }
@@ -168,66 +167,39 @@ impl RunStore {
     pub const ARTIFACT_DIR: &'static str = "artifacts";
 
     /// Open (creating if missing) the store at `root` and load its
-    /// index. A torn final line is tolerated and flagged; an unknown
-    /// schema version or a torn *middle* line is a typed error.
+    /// index; an unknown schema version is a typed error.
     pub fn open(root: impl Into<PathBuf>) -> Result<RunStore, ReportError> {
         Self::open_in(Arc::new(RealFs), root)
     }
 
     /// [`RunStore::open`] against an explicit [`Vfs`] — the seam the
-    /// chaos harness uses to torture the index. The index is read as
-    /// raw bytes and decoded lossily so read-time bit-rot degrades to a
-    /// typed per-line parse failure, never a whole-store I/O error.
+    /// chaos harness uses to torture the index. Opening never writes to
+    /// an existing index, so read-only callers leave it unchanged.
     pub fn open_in(vfs: Arc<dyn Vfs>, root: impl Into<PathBuf>) -> Result<RunStore, ReportError> {
         let root = root.into();
-        vfs.create_dir_all(&root)?;
-        let index = root.join(Self::INDEX_FILE);
+        let (log, lines, load_stats) = RecordLog::open(vfs, &root, Self::INDEX_FILE)?;
         let mut records = Vec::new();
-        let mut torn_tail = false;
-        if vfs.exists(&index) {
-            let bytes = vfs.read(&index)?;
-            let text = String::from_utf8_lossy(&bytes);
-            let lines: Vec<&str> = text.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
+        for line in lines {
+            match line {
+                LogLine::Record(record) => records.push(record),
+                LogLine::WrongVersion { line, found } => {
+                    let what = format!("{}:{line}", root.join(Self::INDEX_FILE).display());
+                    check_schema(&what, found, REPORT_SCHEMA_VERSION)?;
                 }
-                let what = format!("{}:{}", index.display(), i + 1);
-                let value = match serde::json::parse(line) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if i + 1 == lines.len() {
-                            torn_tail = true; // crash mid-append: drop the tail
-                            continue;
-                        }
-                        return Err(ReportError::Parse {
-                            what,
-                            detail: format!("{e:?}"),
-                        });
-                    }
-                };
-                let found = value
-                    .get("schema_version")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| ReportError::Parse {
-                        what: what.clone(),
-                        detail: "record has no schema_version".to_string(),
-                    })? as u32;
-                check_schema(&what, found, REPORT_SCHEMA_VERSION)?;
-                let record: RunRecord =
-                    serde::json::from_value(&value).map_err(|e| ReportError::Parse {
-                        what,
-                        detail: format!("{e:?}"),
-                    })?;
-                records.push(record);
+                LogLine::Damaged { .. } => {}
             }
         }
         Ok(RunStore {
             root,
-            fs: vfs,
+            log,
             records,
-            torn_tail,
+            load_stats,
         })
+    }
+
+    /// What loading the index found, damaged lines included.
+    pub fn load_stats(&self) -> LogStats {
+        self.load_stats
     }
 
     pub fn root(&self) -> &Path {
@@ -262,10 +234,7 @@ impl RunStore {
     /// flush it to disk before returning.
     pub fn append(&mut self, mut record: RunRecord) -> Result<(), ReportError> {
         record.schema_version = REPORT_SCHEMA_VERSION;
-        let mut line = serde::json::to_string(&record);
-        line.push('\n');
-        self.fs
-            .append(&self.root.join(Self::INDEX_FILE), line.as_bytes())?;
+        self.log.append(&record)?;
         self.records.push(record);
         Ok(())
     }
@@ -365,7 +334,7 @@ mod tests {
         assert_eq!(store.next_seq(), 2);
 
         let back = RunStore::open(&dir).unwrap();
-        assert!(!back.torn_tail);
+        assert!(!back.load_stats().damaged());
         assert_eq!(back.records(), store.records());
         assert_eq!(back.next_batch(), 2);
         assert!(back.get(&store.records()[1].id).is_some());
@@ -373,31 +342,47 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_tolerated_but_torn_middle_is_not() {
-        let dir = tmp("torn");
+    fn mid_file_garbage_is_skipped_and_reported_at_its_line() {
+        let dir = tmp("garbage");
         let mut store = RunStore::open(&dir).unwrap();
         store.append(sample_record(0, "baseline", 0)).unwrap();
+        store.append(sample_record(1, "VISA+opt1", 1)).unwrap();
         let index = dir.join(RunStore::INDEX_FILE);
-        // Crash mid-append: a half-written final line.
-        let mut text = std::fs::read_to_string(&index).unwrap();
-        text.push_str("{\"schema_version\":1,\"id\":\"r0");
-        std::fs::write(&index, &text).unwrap();
-        let back = RunStore::open(&dir).unwrap();
-        assert!(back.torn_tail);
-        assert_eq!(back.records().len(), 1);
-
-        // The same garbage mid-file is corruption, not a torn tail.
         let mut lines: Vec<String> = std::fs::read_to_string(&index)
             .unwrap()
             .lines()
             .map(String::from)
             .collect();
-        lines.insert(0, "{\"schema_version\":1,\"id\":\"r0".to_string());
-        std::fs::write(&index, lines.join("\n")).unwrap();
-        match RunStore::open(&dir) {
-            Err(ReportError::Parse { .. }) => {}
-            other => panic!("expected Parse error, got {other:?}"),
-        }
+        lines.insert(1, "{\"schema_version\":1,\"id\":\"r0".to_string());
+        std::fs::write(&index, lines.join("\n") + "\n").unwrap();
+        let back = RunStore::open(&dir).unwrap();
+        assert_eq!(
+            back.records(),
+            store.records(),
+            "records on both sides load"
+        );
+        assert_eq!(back.load_stats().torn, 1);
+        assert_eq!(back.load_stats().first_damaged_line, Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_keep_the_store_openable() {
+        let dir = tmp("torn_then_append");
+        let mut store = RunStore::open(&dir).unwrap();
+        store.append(sample_record(0, "baseline", 0)).unwrap();
+        drop(store);
+        let index = dir.join(RunStore::INDEX_FILE);
+        let mut text = std::fs::read_to_string(&index).unwrap();
+        text.push_str("{\"schema_version\":1,\"id\":\"r0");
+        std::fs::write(&index, &text).unwrap();
+        let mut store = RunStore::open(&dir).unwrap();
+        store.append(sample_record(1, "VISA+opt1", 1)).unwrap();
+        store.append(sample_record(2, "VISA+opt2", 2)).unwrap();
+        let back = RunStore::open(&dir).unwrap();
+        assert_eq!(back.records().len(), 3);
+        assert_eq!(back.records(), store.records());
+        assert_eq!(back.load_stats().torn, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -401,10 +401,10 @@ impl Daemon {
         let metrics = Metrics::new();
 
         let (log, recovery) = QueueLog::open_in(Arc::clone(&fs), &cfg.dir)?;
-        if recovery.stats.damaged() {
+        if recovery.stats.damaged() || recovery.orphaned > 0 {
             eprintln!(
                 "sim-serve: queue log damage tolerated: {} torn, {} orphaned (first bad line {:?})",
-                recovery.stats.torn, recovery.stats.orphaned, recovery.stats.first_damaged_line
+                recovery.stats.torn, recovery.orphaned, recovery.stats.first_damaged_line
             );
             metrics.counter_add("serve.recovery_damaged_lines", recovery.stats.torn as u64);
         }

@@ -51,7 +51,7 @@ pub mod workload;
 
 pub use client::ServeClient;
 pub use daemon::{run, Daemon, DaemonCore, ServeConfig, ENDPOINT_FILE, QUARANTINE_FILE};
-pub use queue::{QueueEvent, QueueLoadStats, QueueLog, QueueRecovery, QUEUE_SCHEMA_VERSION};
+pub use queue::{QueueEvent, QueueLog, QueueRecovery, QUEUE_SCHEMA_VERSION};
 pub use scheduler::{Claim, Scheduler, SchedulerConfig, ServeStats};
 pub use spec::{CancelError, JobSpec, JobState, JobStatus, Priority, SubmitError};
 pub use workload::{StepWorkload, WorkCtx, WorkOutput, Workload, WorkloadRegistry};

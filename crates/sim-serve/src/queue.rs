@@ -4,11 +4,8 @@
 //! The log is the daemon's source of truth. Every state transition
 //! that must survive `kill -9` is one appended line: `Submitted`,
 //! `Preempted` (a durable checkpoint exists), and the terminal events
-//! (`Done` / `Failed` / `Cancelled` / `Shed`). Recovery tolerates a
-//! torn tail exactly like the campaign journal — a crash mid-append
-//! loses at most the line being written, and a mid-file damaged line
-//! is reported typed (`first_damaged_line`) rather than silently
-//! skipped.
+//! (`Done` / `Failed` / `Cancelled` / `Shed`). The log is a
+//! [`RecordLog`], so a crash mid-append loses at most that line.
 //!
 //! Exactly-once semantics: a terminal event is appended *after* the
 //! fact it records. A crash between a job finishing and its `Done`
@@ -18,12 +15,12 @@
 //! is last-event-wins.
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use sim_chaos::{sweep_tmp_files, Vfs};
-use sim_harness::JobError;
+use sim_harness::{JobError, LogLine, LogRecord, LogStats, RecordLog};
 
 use crate::spec::JobSpec;
 
@@ -77,36 +74,9 @@ pub struct QueueRecord {
     pub event: QueueEvent,
 }
 
-/// Minimal probe to classify unparseable lines: a line that still
-/// carries a version stamp is an old-schema record, not a torn write.
-#[derive(Deserialize)]
-struct VersionProbe {
-    v: u32,
-}
-
-/// Statistics from recovering an existing queue log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueLoadStats {
-    /// Events accepted into the replay fold.
-    pub loaded: usize,
-    /// Lines that failed to parse (torn tail, corruption).
-    pub torn: usize,
-    /// Parsed records whose schema version did not match.
-    pub wrong_version: usize,
-    /// Events referencing an id with no surviving `Submitted` record
-    /// (its submission line was damaged). Counted, not replayed.
-    pub orphaned: usize,
-    /// 1-based line number of the first damaged line, if any.
-    pub first_damaged_line: Option<usize>,
-    /// `.tmp` litter files reaped from the queue directory on open.
-    pub reaped_tmp: usize,
-}
-
-impl QueueLoadStats {
-    /// Whether the log showed damage (torn lines or orphaned events).
-    pub fn damaged(&self) -> bool {
-        self.first_damaged_line.is_some() || self.orphaned > 0
-    }
+impl LogRecord for QueueRecord {
+    const VERSION_FIELD: &'static str = "v";
+    const VERSION: u32 = QUEUE_SCHEMA_VERSION;
 }
 
 /// A job's folded state after replay.
@@ -150,7 +120,10 @@ pub struct QueueRecovery {
     pub jobs: Vec<RecoveredJob>,
     /// First id the daemon may assign to a new submission.
     pub next_id: u64,
-    pub stats: QueueLoadStats,
+    pub stats: LogStats,
+    /// Events referencing an id with no surviving `Submitted` record
+    /// (its submission line was damaged). Counted, not replayed.
+    pub orphaned: usize,
 }
 
 impl QueueRecovery {
@@ -160,13 +133,10 @@ impl QueueRecovery {
     }
 }
 
-/// Append handle for the queue log at `<dir>/queue.jsonl`. Appends are
-/// single `vfs.append` calls (one line each, flushed before return),
-/// so concurrent appenders interleave at line granularity and a crash
-/// tears at most the final line.
+/// Append handle for the queue log at `<dir>/queue.jsonl`: one
+/// [`QueueRecord`] line per event.
 pub struct QueueLog {
-    path: PathBuf,
-    fs: Arc<dyn Vfs>,
+    log: RecordLog<QueueRecord>,
 }
 
 impl QueueLog {
@@ -178,86 +148,42 @@ impl QueueLog {
     /// (the daemon directory has exactly one writer, opened before any
     /// worker runs, so the sweep cannot race an in-flight write).
     pub fn open_in(vfs: Arc<dyn Vfs>, dir: &Path) -> Result<(QueueLog, QueueRecovery), JobError> {
-        vfs.create_dir_all(dir).map_err(io_err)?;
-        let path = dir.join(Self::FILE_NAME);
-        let mut stats = QueueLoadStats {
-            reaped_tmp: sweep_tmp_files(vfs.as_ref(), dir, None).unwrap_or(0),
-            ..QueueLoadStats::default()
-        };
+        let _ = sweep_tmp_files(vfs.as_ref(), dir, None);
+        let (log, lines, stats) = RecordLog::<QueueRecord>::open(vfs, dir, Self::FILE_NAME)?;
 
         // Fold events in file order. `BTreeMap` keeps jobs in id order
         // for free, which is also submission order.
         let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
         let mut max_id = 0u64;
-        if vfs.exists(&path) {
-            let bytes = vfs.read(&path).map_err(io_err)?;
-            // Seal a torn tail: a crash mid-append can leave the file
-            // ending inside a line. Without a terminator, the *next*
-            // append would fuse onto the damaged line and destroy a
-            // good record — so terminate it now, before any worker
-            // writes. The damaged line itself is counted below and
-            // ignored by the fold.
-            if bytes.last().is_some_and(|&b| b != b'\n') {
-                vfs.append(&path, b"\n").map_err(io_err)?;
+        let mut orphaned = 0;
+        for line in lines {
+            if let LogLine::Record(rec) = line {
+                max_id = max_id.max(rec.event.id());
+                fold_event(&mut jobs, rec.event, &mut orphaned);
             }
-            let text = String::from_utf8_lossy(&bytes);
-            for (lineno, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde::json::from_str::<QueueRecord>(line) {
-                    Ok(rec) if rec.v == QUEUE_SCHEMA_VERSION => {
-                        stats.loaded += 1;
-                        max_id = max_id.max(rec.event.id());
-                        fold_event(&mut jobs, rec.event, &mut stats);
-                    }
-                    Ok(_) => stats.wrong_version += 1,
-                    Err(_) => match serde::json::from_str::<VersionProbe>(line) {
-                        Ok(probe) if probe.v != QUEUE_SCHEMA_VERSION => stats.wrong_version += 1,
-                        _ => {
-                            stats.torn += 1;
-                            stats.first_damaged_line.get_or_insert(lineno + 1);
-                        }
-                    },
-                }
-            }
-        } else {
-            // Create the empty log eagerly so the daemon directory is
-            // observable (and torturable) as soon as the log opens.
-            vfs.append(&path, b"").map_err(io_err)?;
         }
 
         let recovery = QueueRecovery {
             jobs: jobs.into_values().collect(),
             next_id: max_id + 1,
             stats,
+            orphaned,
         };
-        Ok((QueueLog { path, fs: vfs }, recovery))
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((QueueLog { log }, recovery))
     }
 
     /// Append one event as a single flushed line.
     pub fn append(&self, event: &QueueEvent) -> Result<(), JobError> {
-        let rec = QueueRecord {
+        Ok(self.log.append(&QueueRecord {
             v: QUEUE_SCHEMA_VERSION,
             event: event.clone(),
-        };
-        let mut line = serde::json::to_string(&rec);
-        line.push('\n');
-        self.fs.append(&self.path, line.as_bytes()).map_err(io_err)
+        })?)
     }
 }
 
 /// Apply one event to the replay map. Later events win; terminal
 /// states are sticky (a stray late event cannot resurrect a job).
-fn fold_event(
-    jobs: &mut BTreeMap<u64, RecoveredJob>,
-    event: QueueEvent,
-    stats: &mut QueueLoadStats,
-) {
+fn fold_event(jobs: &mut BTreeMap<u64, RecoveredJob>, event: QueueEvent, orphaned: &mut usize) {
     match event {
         QueueEvent::Submitted { id, spec } => {
             // Duplicate Submitted for a known id keeps the first spec;
@@ -275,7 +201,7 @@ fn fold_event(
             let Some(job) = jobs.get_mut(&id) else {
                 // The Submitted line for this id was lost (damaged
                 // mid-file). Nothing to attach the event to.
-                stats.orphaned += 1;
+                *orphaned += 1;
                 return;
             };
             if !job.state.is_pending() {
@@ -301,12 +227,6 @@ fn fold_event(
     }
 }
 
-fn io_err(e: std::io::Error) -> JobError {
-    JobError::Io {
-        detail: e.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,6 +234,7 @@ mod tests {
     use sim_chaos::RealFs;
     use std::fs::{self, OpenOptions};
     use std::io::Write;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("sim-serve-queue").join(name);
@@ -551,8 +472,7 @@ mod tests {
         }
         let (_, rec) = open(&dir);
         assert_eq!(rec.jobs.len(), 0);
-        assert_eq!(rec.stats.orphaned, 1);
-        assert!(rec.stats.damaged());
+        assert_eq!(rec.orphaned, 1);
         // The orphan id still advances next_id: ids are never reused.
         assert_eq!(rec.next_id, 10);
     }
@@ -627,7 +547,7 @@ mod tests {
             // Every job that recovered must be one we actually
             // submitted, with its spec intact.
             for job in &rec.jobs {
-                assert!(submitted.contains(&job.id) || rec.stats.damaged());
+                assert!(submitted.contains(&job.id) || rec.stats.damaged() || rec.orphaned > 0);
                 if submitted.contains(&job.id) {
                     assert_eq!(job.spec, spec(job.id), "seed {seed}");
                 }
