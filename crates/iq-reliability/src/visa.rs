@@ -28,9 +28,9 @@ impl IssuePolicy for VisaIssue {
     fn prioritize(&mut self, ready: &mut Vec<ReadyInst>) {
         // ACE first (false < true, so negate), then age. `seq` is unique
         // across threads, so the key is a *total* order: the result is
-        // independent of the incoming permutation even though the ready
-        // list inherits the IQ's swap_remove-scrambled storage order —
-        // a replayed seed issues identically. (`sort_unstable` is safe
+        // independent of the incoming permutation (the ready list
+        // arrives in wakeup-event order) — a replayed seed issues
+        // identically. (`sort_unstable` is safe
         // for the same reason: no ties exist for stability to preserve.)
         ready.sort_unstable_by_key(|r| (!r.ace_hint, r.seq));
     }
@@ -85,8 +85,8 @@ mod tests {
 
     #[test]
     fn selection_is_invariant_to_input_permutation() {
-        // The ready list arrives in IQ storage order, which depends on
-        // the history of swap_remove compactions. Issue selection must
+        // The ready list arrives in wakeup-event order, which depends on
+        // completion and squash history. Issue selection must
         // not: every permutation of the same ready set has to produce
         // the same priority order, or replayed seeds diverge.
         let base = vec![

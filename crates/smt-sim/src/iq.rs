@@ -4,15 +4,23 @@
 //! plus the running hint-bit total the DVM hardware would keep in its
 //! ACE-bit counter. Entry order is not maintained here: age-based
 //! selection uses the global `seq` carried by each instruction.
+//!
+//! A per-`InstId` slot index makes `contains`/`remove` O(1). It is
+//! derived from `entries`, never serialized, and rebuilt on restore.
 
 use crate::layout;
-use crate::types::InstId;
+use crate::types::{InstId, InstSlab};
 use sim_snapshot::{SnapError, SnapReader, SnapWriter};
+
+const NO_SLOT: u32 = u32::MAX;
 
 /// The shared issue queue of the SMT processor.
 pub struct IssueQueue {
     capacity: usize,
     entries: Vec<InstId>,
+    /// `slot_of[id]` is the position of `id` in `entries`, or `NO_SLOT`.
+    /// Indexed by slab slot, so it grows to the slab's high-water mark.
+    slot_of: Vec<u32>,
     /// Σ over resident instructions of their hint-derived ACE bits —
     /// the online ACE-bit counter of the paper's Section 5.1.
     hint_bits: u64,
@@ -26,6 +34,7 @@ impl IssueQueue {
         IssueQueue {
             capacity,
             entries: Vec::with_capacity(capacity),
+            slot_of: Vec::new(),
             hint_bits: 0,
             per_thread: [0; micro_isa::MAX_THREADS],
         }
@@ -60,7 +69,11 @@ impl IssueQueue {
     /// Allocate an entry. Panics if full (the dispatch stage checks).
     pub fn insert(&mut self, id: InstId, ace_hint: bool, tid: micro_isa::ThreadId) {
         assert!(!self.is_full(), "IQ overflow");
-        debug_assert!(!self.entries.contains(&id), "duplicate IQ entry");
+        debug_assert!(!self.contains(id), "duplicate IQ entry");
+        if id >= self.slot_of.len() {
+            self.slot_of.resize(id + 1, NO_SLOT);
+        }
+        self.slot_of[id] = self.entries.len() as u32;
         self.entries.push(id);
         self.hint_bits += layout::iq_ace_bits(ace_hint) as u64;
         self.per_thread[tid as usize] += 1;
@@ -68,18 +81,39 @@ impl IssueQueue {
 
     /// Free the entry of `id` (at writeback or squash). Panics if absent.
     pub fn remove(&mut self, id: InstId, ace_hint: bool, tid: micro_isa::ThreadId) {
-        let pos = self
-            .entries
-            .iter()
-            .position(|&e| e == id)
-            .expect("removing instruction not in IQ");
+        assert!(self.contains(id), "removing instruction not in IQ");
+        let pos = std::mem::replace(&mut self.slot_of[id], NO_SLOT) as usize;
         self.entries.swap_remove(pos);
+        if let Some(&moved) = self.entries.get(pos) {
+            self.slot_of[moved] = pos as u32;
+        }
         self.hint_bits -= layout::iq_ace_bits(ace_hint) as u64;
         self.per_thread[tid as usize] -= 1;
     }
 
     pub fn contains(&self, id: InstId) -> bool {
-        self.entries.contains(&id)
+        self.slot_of.get(id).is_some_and(|&s| s != NO_SLOT)
+    }
+
+    /// Self-check: the slot index names exactly the resident entries,
+    /// each at its storage position.
+    pub fn check_index(&self) -> Result<(), String> {
+        for (pos, &id) in self.entries.iter().enumerate() {
+            let indexed = self.slot_of.get(id).copied().unwrap_or(NO_SLOT);
+            if indexed as usize != pos {
+                return Err(format!(
+                    "IQ slot index places entry {id} at {indexed}, storage has it at {pos}"
+                ));
+            }
+        }
+        let indexed = self.slot_of.iter().filter(|&&s| s != NO_SLOT).count();
+        if indexed != self.entries.len() {
+            return Err(format!(
+                "IQ slot index holds {indexed} entries, storage holds {}",
+                self.entries.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Testing hook: skew the hardware ACE-bit counter without touching
@@ -115,7 +149,13 @@ impl IssueQueue {
         w.put(&pt);
     }
 
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restore state saved by [`IssueQueue::save_state`]; `slab` is the
+    /// already-restored instruction slab every entry must live in.
+    pub fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        slab: &InstSlab,
+    ) -> Result<(), SnapError> {
         let entries: Vec<InstId> = r.get()?;
         let hint_bits = r.get_u64()?;
         let pt: Vec<u64> = r.get()?;
@@ -138,36 +178,27 @@ impl IssueQueue {
                 "IQ per-thread occupancy does not sum to entry count".into(),
             ));
         }
+        self.slot_of.clear();
+        for (pos, &id) in entries.iter().enumerate() {
+            if !slab.contains(id) {
+                return Err(SnapError::Corrupt(format!(
+                    "IQ entry {id} references a dead slab slot"
+                )));
+            }
+            if id >= self.slot_of.len() {
+                self.slot_of.resize(id + 1, NO_SLOT);
+            }
+            if self.slot_of[id] != NO_SLOT {
+                return Err(SnapError::Corrupt(format!("IQ entry {id} appears twice")));
+            }
+            self.slot_of[id] = pos as u32;
+        }
         self.entries = entries;
         self.hint_bits = hint_bits;
         for (dst, &src) in self.per_thread.iter_mut().zip(pt.iter()) {
             *dst = src as usize;
         }
         Ok(())
-    }
-
-    /// Remove every entry satisfying `pred`; calls `on_removed` for each.
-    /// Used by squash paths, which know each instruction's hint and
-    /// thread from the slab.
-    pub fn retain_with(
-        &mut self,
-        mut pred: impl FnMut(InstId) -> bool,
-        mut on_removed: impl FnMut(InstId),
-        hint_of: impl Fn(InstId) -> bool,
-        tid_of: impl Fn(InstId) -> micro_isa::ThreadId,
-    ) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            let id = self.entries[i];
-            if pred(id) {
-                i += 1;
-            } else {
-                self.entries.swap_remove(i);
-                self.hint_bits -= layout::iq_ace_bits(hint_of(id)) as u64;
-                self.per_thread[tid_of(id) as usize] -= 1;
-                on_removed(id);
-            }
-        }
     }
 }
 
@@ -213,23 +244,5 @@ mod tests {
     fn removing_absent_panics() {
         let mut iq = IssueQueue::new(2);
         iq.remove(9, false, 0);
-    }
-
-    #[test]
-    fn retain_with_squashes_and_reports() {
-        let mut iq = IssueQueue::new(8);
-        for id in 0..6 {
-            iq.insert(id, id % 2 == 0, 0);
-        }
-        let mut removed = Vec::new();
-        iq.retain_with(|id| id < 3, |id| removed.push(id), |id| id % 2 == 0, |_| 0);
-        removed.sort_unstable();
-        assert_eq!(removed, vec![3, 4, 5]);
-        assert_eq!(iq.len(), 3);
-        // Bits for ids 0 (ACE), 1 (un-ACE), 2 (ACE).
-        assert_eq!(
-            iq.hint_bits_resident(),
-            (2 * ACE_INST_BITS + UNACE_INST_BITS) as u64
-        );
     }
 }

@@ -44,8 +44,8 @@ impl IssuePolicy for OldestFirst {
 
     fn prioritize(&mut self, ready: &mut Vec<ReadyInst>) {
         // `seq` is globally unique, so this key is a total order: the
-        // outcome cannot depend on the incoming list order (which is IQ
-        // storage order, scrambled by swap_remove compaction), and
+        // outcome cannot depend on the incoming list order (the order
+        // in which entries woke up, see `wakeup.rs`), and
         // `sort_unstable` has no ties whose relative order it could
         // scramble. Every issue policy must preserve this property —
         // replay determinism (and the fault-injection golden-run
@@ -89,8 +89,8 @@ mod tests {
 
     #[test]
     fn oldest_first_invariant_to_input_permutation() {
-        // The ready list inherits the IQ's swap_remove storage order;
-        // selection must erase it (see the comment in `prioritize`).
+        // The ready list arrives in wakeup-event order; selection must
+        // erase it (see the comment in `prioritize`).
         let base = vec![
             ready(7, true),
             ready(3, false),

@@ -47,6 +47,7 @@ pub mod pipeline;
 pub mod scoreboard;
 pub mod stats;
 pub mod types;
+mod wakeup;
 
 pub use cancel::CancelToken;
 pub use config::{MachineConfig, SimLimits, DEFAULT_WATCHDOG_CYCLES};

@@ -45,6 +45,7 @@ use crate::issue::{IssuePolicy, OldestFirst, ReadyInst};
 use crate::scoreboard::Scoreboard;
 use crate::stats::{IntervalSnapshot, SimStats};
 use crate::types::{InstId, InstInfo, InstSlab, InstStage};
+use crate::wakeup::Wakeup;
 use branch_pred::BranchPredictor;
 use mem_hier::MemoryHierarchy;
 use micro_isa::{BranchKind, DynInst, OpClass, Pc, ThreadId};
@@ -202,6 +203,13 @@ pub struct Pipeline {
     slab: InstSlab,
     threads: Vec<ThreadState>,
     iq: IssueQueue,
+    /// Consumer lists, ready list and executing counters — derived from
+    /// the slab and IQ, rebuilt on restore (see `wakeup.rs`).
+    wakeup: Wakeup,
+    /// Ready-queue buffer reused by every issue stage.
+    ready_buf: Vec<ReadyInst>,
+    /// Per-thread policy views, refilled in place by `refresh_views`.
+    views: Vec<ThreadView>,
     fu: FuPools,
     bpred: BranchPredictor,
     mem: MemoryHierarchy,
@@ -300,6 +308,9 @@ impl Pipeline {
             .collect();
         Pipeline {
             iq: IssueQueue::new(config.iq_size),
+            wakeup: Wakeup::default(),
+            ready_buf: Vec::with_capacity(config.iq_size),
+            views: Vec::with_capacity(config.num_threads),
             fu: FuPools::new(config.fu_pool_sizes),
             bpred: BranchPredictor::table2(config.num_threads),
             mem: MemoryHierarchy::new(config.memory),
@@ -609,6 +620,8 @@ impl Pipeline {
     }
 
     fn complete_inst(&mut self, id: InstId, observer: &mut dyn SimObserver) {
+        // Free the IQ entry (writeback-freed, M-Sim/RUU style).
+        self.free_iq_entry(id);
         let (tid, op, dest, l1_miss, l2_miss, wrong_path, mispredicted, inst_seq);
         {
             let info = self.slab.get_mut(id);
@@ -624,32 +637,11 @@ impl Pipeline {
             mispredicted = info.mispredicted;
             inst_seq = info.inst.seq;
         }
-        // Free the IQ entry (writeback-freed, M-Sim/RUU style).
-        {
-            let hint = self.slab.get(id).inst.ace_hint;
-            if self.iq.contains(id) {
-                self.iq.remove(id, hint, self.slab.get(id).inst.tid);
-                self.tracer.emit(|| TraceEvent::IqFree {
-                    cycle: self.now,
-                    tid,
-                    seq: inst_seq,
-                    occupancy: self.iq.len(),
-                });
-            }
-        }
-        // Scoreboard release + IQ wakeup.
+        // Scoreboard release + wakeup of this producer's consumers.
         if let Some(d) = dest {
             self.threads[tid].scoreboard.clear_if_producer(d, id);
         }
-        let iq_ids: Vec<InstId> = self.iq.iter().collect();
-        for e in iq_ids {
-            let info = self.slab.get_mut(e);
-            for w in &mut info.waiting_on {
-                if *w == Some(id) {
-                    *w = None;
-                }
-            }
-        }
+        self.wakeup.on_complete(&mut self.slab, id);
         // Load bookkeeping.
         if op == OpClass::Load {
             let t = &mut self.threads[tid];
@@ -760,17 +752,7 @@ impl Pipeline {
     /// events, and rebuild the thread scoreboard.
     fn apply_squash(&mut self, tid: usize, squashed: &[InstId], observer: &mut dyn SimObserver) {
         for &id in squashed {
-            // IQ entry.
-            let hint = self.slab.get(id).inst.ace_hint;
-            if self.iq.contains(id) {
-                self.iq.remove(id, hint, self.slab.get(id).inst.tid);
-                self.tracer.emit(|| TraceEvent::IqFree {
-                    cycle: self.now,
-                    tid,
-                    seq: self.slab.get(id).inst.seq,
-                    occupancy: self.iq.len(),
-                });
-            }
+            self.free_iq_entry(id);
             let info = self.slab.remove(id);
             let t = &mut self.threads[tid];
             t.in_flight -= 1;
@@ -823,6 +805,23 @@ impl Pipeline {
             }
         }
         self.threads[tid].scoreboard = sb;
+    }
+
+    /// Release `id`'s IQ entry, if it holds one.
+    fn free_iq_entry(&mut self, id: InstId) {
+        if !self.iq.contains(id) {
+            return;
+        }
+        let info = self.slab.get(id);
+        let (ace_hint, tid, seq) = (info.inst.ace_hint, info.inst.tid, info.inst.seq);
+        self.iq.remove(id, ace_hint, tid);
+        self.wakeup.on_iq_free(info.stage, ace_hint);
+        self.tracer.emit(|| TraceEvent::IqFree {
+            cycle: self.now,
+            tid: tid as usize,
+            seq,
+            occupancy: self.iq.len(),
+        });
     }
 
     /// FLUSH rollback: squash everything in `tid` younger than `load_id`,
@@ -905,27 +904,10 @@ impl Pipeline {
         // not yet issued) and entries already executing. Only the former
         // are candidates for selection.
         let wakeup = self.prof.enter(spans::WAKEUP);
-        let mut ready: Vec<ReadyInst> = Vec::new();
-        let mut executing = 0usize;
-        let mut executing_ace = 0usize;
-        for id in self.iq.iter() {
-            let info = self.slab.get(id);
-            if info.stage == InstStage::Dispatched && info.sources_ready() && !info.inhibit_issue {
-                ready.push(ReadyInst {
-                    id,
-                    seq: info.inst.seq,
-                    tid: info.inst.tid,
-                    op: info.inst.op,
-                    ace_hint: info.inst.ace_hint,
-                    wrong_path: info.inst.wrong_path,
-                });
-            } else if info.stage == InstStage::Issued {
-                executing += 1;
-                if info.inst.ace_hint {
-                    executing_ace += 1;
-                }
-            }
-        }
+        let mut ready = std::mem::take(&mut self.ready_buf);
+        self.wakeup.gather(&self.slab, &mut ready);
+        let executing = self.wakeup.executing();
+        let executing_ace = self.wakeup.executing_ace();
         let rql = ready.len() + executing;
         let ace_ready = ready.iter().filter(|r| r.ace_hint).count() + executing_ace;
         self.stats.diag_ready_selectable += ready.len() as u64;
@@ -956,7 +938,7 @@ impl Pipeline {
         let mut issued = 0usize;
         let flush_active =
             self.policies.fetch.flush_on_l2_miss() || self.policies.governor.flush_override();
-        for r in ready {
+        for &r in &ready {
             if issued >= self.config.width {
                 break;
             }
@@ -1012,6 +994,7 @@ impl Pipeline {
                 info.l1_miss = l1_miss && r.op == OpClass::Load;
                 info.l2_miss = l2_miss && r.op == OpClass::Load;
             }
+            self.wakeup.on_issue(r.ace_hint);
             // RUU-style: the IQ entry is freed at writeback, not issue.
             self.events
                 .push(Reverse((self.now + latency as u64, r.id, r.seq)));
@@ -1088,32 +1071,34 @@ impl Pipeline {
                 ready_len: rql,
             });
         }
+        self.ready_buf = ready;
     }
 
     // ------------------------------------------------------------------
     // dispatch
     // ------------------------------------------------------------------
 
-    fn thread_views(&self) -> Vec<ThreadView> {
-        self.threads
-            .iter()
-            .enumerate()
-            .map(|(tid, t)| ThreadView {
-                tid: tid as ThreadId,
-                fetch_queue_len: t.fetch_queue.len(),
-                fetch_queue_ace: t.fq_ace_count,
-                l2_pending: t.l2_pending,
-                l1d_pending: t.l1d_pending,
-                flush_blocked: t.flush_blocked,
-                in_flight: t.in_flight,
-                iq_occupancy: self.iq.thread_occupancy(tid as ThreadId),
-                rob_ace: t.rob_ace_count,
-            })
-            .collect()
+    /// Refill the reused per-thread view buffer and hand it out; the
+    /// caller puts it back into `self.views` when done.
+    fn refresh_views(&mut self) -> Vec<ThreadView> {
+        let mut views = std::mem::take(&mut self.views);
+        views.clear();
+        views.extend(self.threads.iter().enumerate().map(|(tid, t)| ThreadView {
+            tid: tid as ThreadId,
+            fetch_queue_len: t.fetch_queue.len(),
+            fetch_queue_ace: t.fq_ace_count,
+            l2_pending: t.l2_pending,
+            l1d_pending: t.l1d_pending,
+            flush_blocked: t.flush_blocked,
+            in_flight: t.in_flight,
+            iq_occupancy: self.iq.thread_occupancy(tid as ThreadId),
+            rob_ace: t.rob_ace_count,
+        }));
+        views
     }
 
     fn dispatch_stage(&mut self) {
-        let views = self.thread_views();
+        let views = self.refresh_views();
         let n = self.threads.len();
         let mut iq_len = self.iq.len();
         {
@@ -1207,12 +1192,14 @@ impl Pipeline {
                     t.rob_ace_count += 1;
                 }
                 t.rob.push_back(head);
-                {
+                let seq = {
                     let info = self.slab.get_mut(head);
                     info.stage = InstStage::Dispatched;
                     info.dispatch_cycle = Some(self.now);
                     info.waiting_on = waiting;
-                }
+                    info.inst.seq
+                };
+                self.wakeup.on_dispatch(head, seq, waiting);
                 self.iq.insert(head, ace_hint, tid as ThreadId);
                 iq_len += 1;
                 budget -= 1;
@@ -1220,7 +1207,7 @@ impl Pipeline {
                 self.tracer.emit(|| TraceEvent::IqAllocate {
                     cycle: self.now,
                     tid,
-                    seq: self.slab.get(head).inst.seq,
+                    seq,
                     occupancy: iq_len,
                 });
             }
@@ -1236,6 +1223,7 @@ impl Pipeline {
             self.stats.governor_stall_cycles += 1;
         }
         self.dispatch_rr = (self.dispatch_rr + 1) % n;
+        self.views = views;
     }
 
     // ------------------------------------------------------------------
@@ -1243,7 +1231,7 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     fn fetch_stage(&mut self) {
-        let views = self.thread_views();
+        let views = self.refresh_views();
         let order = {
             let view = FetchView {
                 now: self.now,
@@ -1311,6 +1299,7 @@ impl Pipeline {
                 });
             }
         }
+        self.views = views;
     }
 
     /// Fetch a single instruction for thread `tidx`. Returns `true` if
@@ -1468,7 +1457,7 @@ impl Pipeline {
                     .interval_rollover(index, snapshot.start_cycle, cycles);
             }
             {
-                let views = self.thread_views();
+                let views = self.refresh_views();
                 let view = GovernorView {
                     now: self.now,
                     iq_size: self.config.iq_size,
@@ -1481,6 +1470,7 @@ impl Pipeline {
                     threads: &views,
                 };
                 self.policies.governor.on_interval(&snapshot, &view);
+                self.views = views;
             }
             if let Some(p) = &self.progress {
                 p.fetch_add(cycles, Ordering::Relaxed);

@@ -146,7 +146,7 @@ impl Pipeline {
         for i in 0..threads {
             restore_thread(&mut self.threads[i], r)?;
         }
-        self.iq.restore_state(r)?;
+        self.iq.restore_state(r, &self.slab)?;
         self.fu.restore_state(r)?;
         self.bpred.restore_state(r)?;
         self.mem.restore_state(r)?;
@@ -180,6 +180,12 @@ impl Pipeline {
         self.policies.fetch.restore_state(r)?;
         self.policies.governor.restore_state(r)?;
         self.metrics.restore_state(r)?;
+        // Derived indices are rebuilt, never serialized or merged: the
+        // consumer lists, ready list and executing counters this
+        // pipeline accumulated before the restore are discarded.
+        self.wakeup
+            .rebuild(&self.slab, &self.iq)
+            .map_err(SnapError::Corrupt)?;
         // Host-side observability state is not serialized: the profile
         // restarts empty and the interval wall-clock epoch restarts now,
         // so resumed runs attribute only their own wall time.
@@ -226,9 +232,11 @@ impl Pipeline {
     ///
     /// Verifies queue-occupancy bounds, ACE-bit conservation between
     /// the per-instruction hints in the slab and the live counters the
-    /// governors act on, rename/scoreboard consistency and per-thread
-    /// resource accounting. Returns a diagnostic description of the
-    /// first violation found.
+    /// governors act on, the derived wakeup/select indices (IQ slot
+    /// index, consumer lists, ready list, executing counters),
+    /// rename/scoreboard consistency and per-thread resource
+    /// accounting. Returns a diagnostic description of the first
+    /// violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail =
             |msg: String| -> Result<(), String> { Err(format!("cycle {}: {msg}", self.now)) };
@@ -284,6 +292,15 @@ impl Pipeline {
                     "IQ thread {tid} occupancy counter {tracked} != {n} resident entries"
                 ));
             }
+        }
+
+        // --- derived indices: IQ slot index, consumer lists, ready list
+        //     and executing counters, each recounted from scratch ---
+        if let Err(msg) = self.iq.check_index() {
+            return fail(msg);
+        }
+        if let Err(msg) = self.wakeup.check(&self.slab, &self.iq) {
+            return fail(msg);
         }
 
         // --- per-thread resource accounting ---
@@ -594,6 +611,52 @@ mod tests {
     #[test]
     fn resume_is_bit_identical_pdg() {
         assert_resume_identity(["gcc", "mcf", "vpr", "perlbmk"], 2, FetchPolicyKind::Pdg);
+    }
+
+    /// Restoring onto a pipeline that has already run — so its consumer
+    /// lists, ready list and executing counters are populated with its
+    /// own history — must discard that derived state and rebuild it from
+    /// the snapshot, continuing exactly like the uninterrupted run.
+    #[test]
+    fn restore_onto_a_used_pipeline_rebuilds_derived_state() {
+        let names = ["gcc", "mcf", "vpr", "perlbmk"];
+        let limits = SimLimits::instructions(100_000);
+        let mut reference = mini(names, 4, FetchPolicyKind::Flush);
+        let r_ref = reference.run(limits, &mut NullObserver);
+        assert!(!r_ref.deadlocked && !r_ref.cancelled);
+
+        let mut first = mini(names, 4, FetchPolicyKind::Flush);
+        let mut snap = None;
+        first.run_hooked(limits, &mut NullObserver, &mut |p| {
+            if p.cycle() >= 2 * DEFAULT_INTERVAL_CYCLES {
+                snap = Some(p.save_snapshot());
+                return HookAction::Stop;
+            }
+            HookAction::Continue
+        });
+        let snap = snap.expect("run crossed two interval boundaries");
+
+        // Run past the checkpoint and stop mid-interval, off the
+        // boundary, so the derived state disagrees with the snapshot's.
+        let mut used = mini(names, 4, FetchPolicyKind::Flush);
+        used.run(
+            SimLimits::cycles(3 * DEFAULT_INTERVAL_CYCLES + 777),
+            &mut NullObserver,
+        );
+        assert!(
+            used.wakeup.has_pending(),
+            "used pipeline has no consumer or ready entries to discard"
+        );
+        used.restore_snapshot(&snap).unwrap();
+        used.check_invariants().unwrap();
+        let r_res = used.run(limits, &mut NullObserver);
+        assert!(!r_res.deadlocked && !r_res.cancelled);
+        assert_eq!(r_res.stats.cycles, r_ref.stats.cycles);
+        assert_eq!(
+            used.save_snapshot(),
+            reference.save_snapshot(),
+            "restore merged stale derived state into the resumed run"
+        );
     }
 
     #[test]

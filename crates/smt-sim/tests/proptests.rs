@@ -41,16 +41,18 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The issue-queue container tracks occupancy, membership and the
-    /// hint-bit counter exactly through arbitrary insert/remove
-    /// interleavings.
+    /// The issue-queue container tracks occupancy, membership, the
+    /// hint-bit counter and the `swap_remove` physical slot order (which
+    /// fault-injection sampling and snapshots depend on) exactly through
+    /// arbitrary insert/remove interleavings.
     #[test]
     fn issue_queue_bookkeeping(ops in prop::collection::vec((0usize..32, prop::bool::ANY), 1..200)) {
         let mut iq = IssueQueue::new(32);
         let mut resident: Vec<(usize, bool)> = Vec::new();
         for (id, ace) in ops {
             if let Some(pos) = resident.iter().position(|&(i, _)| i == id) {
-                let (_, was_ace) = resident.remove(pos);
+                // `resident` mirrors the IQ's storage order.
+                let (_, was_ace) = resident.swap_remove(pos);
                 iq.remove(id, was_ace, (id % 4) as u8);
             } else if !iq.is_full() {
                 iq.insert(id, ace, (id % 4) as u8);
@@ -64,6 +66,13 @@ proptest! {
             prop_assert_eq!(iq.hint_bits_resident(), expect_bits);
             let expect_t0 = resident.iter().filter(|&&(i, _)| i % 4 == 0).count();
             prop_assert_eq!(iq.thread_occupancy(0), expect_t0);
+            for slot in 0..iq.capacity() {
+                prop_assert_eq!(iq.entry_at(slot), resident.get(slot).map(|&(i, _)| i));
+            }
+            for id in 0..32 {
+                prop_assert_eq!(iq.contains(id), resident.iter().any(|&(i, _)| i == id));
+            }
+            prop_assert_eq!(iq.check_index(), Ok(()));
         }
     }
 
