@@ -21,22 +21,26 @@
 //!
 //! ## Execution strategy
 //!
-//! Classifying a payload or register fault does not require re-running
-//! the timing simulator: those faults corrupt a *value*, not pipeline
+//! Every trial is classified starting from the fault, never from cycle
+//! zero. Payload and register faults corrupt a *value*, not pipeline
 //! control state, so the faulty run's commit stream is cycle-identical
-//! to the golden run and the outcome is decided by replaying the
-//! recorded stream through the architectural emulator with a
-//! [`FaultDirective`]. Only select/retirement-critical flips on
-//! not-yet-issued victims mutate real pipeline state
-//! (`inhibit_issue`), and only those trials re-simulate. On top of the
-//! empty/dead fast paths this turns an `N`-trial campaign from `N`
-//! full simulations into one golden run plus a handful of re-runs.
+//! to the golden run; they are judged by a differential replay of the
+//! victim thread against a [`GoldenTrace`] recorded once from the
+//! golden commit stream ([`GoldenTrace::judge`]). Only
+//! select/retirement-critical flips on not-yet-issued victims mutate
+//! real pipeline state (`inhibit_issue`); those trials are decided
+//! during the golden run itself, by forking the golden pipeline at the
+//! injection cycle through a snapshot and simulating only the tail.
+//! Restore is bit-identical and the golden run's observers never touch
+//! pipeline state, so a forked trial is exactly the trial a fresh
+//! machine warmed up and stepped to the same cycle would run. On top of
+//! the empty/dead fast paths an `N`-trial campaign costs one golden run
+//! plus a handful of short tails.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use avf::layout::{rob_bit_class, RobBitClass, RF_REG_BITS, ROB_ENTRY_BITS};
-use avf::AvfCollector;
+use avf::{AvfCollector, AvfReport};
 use serde::{Deserialize, Serialize};
 use sim_metrics::Metrics;
 use sim_stats::{wilson_ci95, WilsonCi};
@@ -44,14 +48,12 @@ use sim_trace::{TraceEvent, Tracer};
 use smt_sim::layout::IQ_ENTRY_BITS;
 use smt_sim::pipeline::PipelinePolicies;
 use smt_sim::{
-    iq_bit_class, InjectableState, IqBitClass, MachineConfig, NullObserver, Pipeline, RobBitKind,
-    SimLimits, SimObserver, Structure, REGS_PER_THREAD,
+    iq_bit_class, InjectableState, IqBitClass, MachineConfig, Pipeline, RobBitKind, SimLimits,
+    SimObserver, Structure, REGS_PER_THREAD,
 };
 use workload_gen::Program;
 
-use crate::digest::{
-    golden_digest, replay, FateObserver, FaultDirective, GoldenRecorder, SinkDigest, Tandem,
-};
+use crate::digest::{FateObserver, FaultDirective, GoldenTrace, SinkDigest, Tandem, TraceRecorder};
 
 /// Deterministic SplitMix64 stream for site sampling.
 #[derive(Debug, Clone)]
@@ -218,33 +220,56 @@ struct Planned {
     bit: u32,
 }
 
-/// What the sweep saw at a planned site (classification happens after
-/// the golden run completes).
+/// What the golden run saw at a planned site.
 #[derive(Debug, Clone, Copy)]
 enum SiteObs {
     /// Empty slot or dead bit: masked with no further work.
     MaskedFast,
-    /// Payload bit of a live occupant: classify by perturbed replay.
+    /// Payload bit of a live occupant: classify by differential replay.
     Payload { victim_seq: u64 },
-    /// Select/retirement-critical bit. `waiting` victims need a
-    /// re-simulated trial; issued/completed ones are judged by the
-    /// victim's golden fate (machine-check-at-retire model).
-    Critical { victim_seq: u64, waiting: bool },
-    /// Register-file flip: classify by replay with a register directive.
+    /// Select/retirement-critical bit of an issued/completed victim:
+    /// judged by the victim's golden fate (machine-check-at-retire
+    /// model).
+    Critical { victim_seq: u64 },
+    /// Select/retirement-critical bit of a waiting victim, already
+    /// decided by a trial forked from the golden pipeline.
+    Forked { victim_seq: u64, outcome: Outcome },
+    /// Register-file flip: classify by differential replay with a
+    /// register directive.
     RegFlip { tid: u8, reg_index: usize },
 }
 
-fn observe(pipeline: &Pipeline, site: &Planned) -> SiteObs {
+impl SiteObs {
+    fn victim_seq(&self) -> Option<u64> {
+        match *self {
+            SiteObs::Payload { victim_seq }
+            | SiteObs::Critical { victim_seq }
+            | SiteObs::Forked { victim_seq, .. } => Some(victim_seq),
+            SiteObs::MaskedFast | SiteObs::RegFlip { .. } => None,
+        }
+    }
+}
+
+/// Observe `site` on the golden pipeline; `fork` decides a trial whose
+/// victim is still waiting to issue.
+fn observe(pipeline: &Pipeline, site: &Planned, fork: impl FnOnce(u64) -> Outcome) -> SiteObs {
+    let critical = |victim_seq: u64, waiting: bool| {
+        if waiting {
+            SiteObs::Forked {
+                victim_seq,
+                outcome: fork(victim_seq),
+            }
+        } else {
+            SiteObs::Critical { victim_seq }
+        }
+    };
     match site.structure {
         Structure::IssueQueue => match pipeline.iq_state().occupant(site.entry) {
             None => SiteObs::MaskedFast,
             Some(o) => match iq_bit_class(site.bit) {
                 IqBitClass::Dead => SiteObs::MaskedFast,
                 IqBitClass::Payload => SiteObs::Payload { victim_seq: o.seq },
-                IqBitClass::SelectCritical => SiteObs::Critical {
-                    victim_seq: o.seq,
-                    waiting: !o.issued,
-                },
+                IqBitClass::SelectCritical => critical(o.seq, !o.issued),
             },
         },
         Structure::Rob => match pipeline.rob_state(ROB_ENTRY_BITS).occupant(site.entry) {
@@ -254,10 +279,7 @@ fn observe(pipeline: &Pipeline, site: &Planned) -> SiteObs {
                 // The buffered result is dead once writeback published it.
                 RobBitClass::Payload if o.completed => SiteObs::MaskedFast,
                 RobBitClass::Payload => SiteObs::Payload { victim_seq: o.seq },
-                RobBitClass::Control => SiteObs::Critical {
-                    victim_seq: o.seq,
-                    waiting: !o.issued && !o.completed,
-                },
+                RobBitClass::Control => critical(o.seq, !o.issued && !o.completed),
             },
         },
         Structure::RegFile => SiteObs::RegFlip {
@@ -267,32 +289,47 @@ fn observe(pipeline: &Pipeline, site: &Planned) -> SiteObs {
     }
 }
 
-/// Re-simulate a trial whose fault mutates pipeline state (an
-/// inhibited, not-yet-issued victim): fresh machine, same seed, flip at
-/// the sampled cycle, then let the hang/squash race play out under a
-/// tight watchdog.
-fn resimulate(
+/// Decide a trial whose fault mutates pipeline state (an inhibited,
+/// not-yet-issued victim): fork the golden pipeline at the injection
+/// cycle, flip the bit, and simulate the tail.
+fn fork_trial(
     cfg: &CampaignConfig,
     programs: &[Arc<Program>],
     make_policies: &dyn Fn() -> PipelinePolicies,
+    golden: &Pipeline,
     site: &Planned,
-    expect_seq: u64,
+    victim_seq: u64,
 ) -> Outcome {
+    let snapshot = golden.save_snapshot();
     let mut pipeline = Pipeline::new(cfg.machine.clone(), programs.to_vec(), make_policies());
-    pipeline.warm_up(cfg.warmup_insts);
-    let mut sink = NullObserver;
-    for _ in 0..site.off {
-        pipeline.step(&mut sink);
-    }
+    pipeline
+        .restore_snapshot(&snapshot)
+        .expect("a fork restores its own golden snapshot");
+    drop(snapshot);
+    run_trial(cfg, pipeline, site, victim_seq)
+}
+
+/// Inject `site` into `pipeline` (standing at the injection cycle) and
+/// let the hang/squash race play out under a tight watchdog.
+fn run_trial(
+    cfg: &CampaignConfig,
+    mut pipeline: Pipeline,
+    site: &Planned,
+    victim_seq: u64,
+) -> Outcome {
     let fault = match site.structure {
         Structure::IssueQueue => pipeline.inject_iq_bit(site.entry, site.bit),
         Structure::Rob => pipeline.inject_rob_bit(site.entry, site.bit, RobBitKind::Control),
-        Structure::RegFile => unreachable!("register faults never re-simulate"),
+        Structure::RegFile => unreachable!("register faults never fork"),
     };
-    // Replay determinism guarantees the same occupant as the sweep saw;
-    // watch whoever is actually there to stay honest if it ever drifts.
-    let watch = fault.victim_seq().unwrap_or(expect_seq);
-    let mut fate = FateObserver::new(watch);
+    assert_eq!(
+        fault.victim_seq(),
+        Some(victim_seq),
+        "the trial at offset {} hit a different {} occupant than the golden run saw",
+        site.off,
+        site.structure.as_str()
+    );
+    let mut fate = FateObserver::new(victim_seq);
     // Budget: past the injection point, leave room for the victim
     // thread to drain its older work and then trip the watchdog.
     let budget = site.off + 2 * cfg.watchdog_cycles + 1_000;
@@ -317,22 +354,10 @@ fn resimulate(
     }
 }
 
-/// Run a fault-injection campaign. `make_policies` builds one fresh
-/// policy set per simulation (the golden run and each re-simulated
-/// trial); campaign counters go to `metrics` and per-trial events to
-/// `tracer`.
-pub fn run_campaign(
-    cfg: &CampaignConfig,
-    programs: &[Arc<Program>],
-    make_policies: &dyn Fn() -> PipelinePolicies,
-    metrics: &Metrics,
-    tracer: &Tracer,
-) -> CampaignResult {
-    assert!(cfg.run_cycles > 0, "empty measurement window");
-    assert_eq!(programs.len(), cfg.machine.num_threads);
+/// Sample every trial site up front (pure RNG, reproducible), in
+/// injection-cycle order.
+fn plan_sites(cfg: &CampaignConfig) -> Vec<Planned> {
     let n = cfg.machine.num_threads;
-
-    // ---- Plan every trial site up front (pure RNG, reproducible). ----
     let mut rng = SplitMix64::new(cfg.seed ^ 0xfa57_1213);
     let mut plan: Vec<Planned> = Vec::new();
     let mut sample = |plan: &mut Vec<Planned>, structure, trials, entries: u64, bits: u32| {
@@ -367,99 +392,115 @@ pub fn run_campaign(
         RF_REG_BITS,
     );
     plan.sort_by_key(|p| p.off);
+    plan
+}
 
-    // ---- Golden run with interleaved site sampling. ----
+/// Everything the golden run leaves behind for classification.
+struct GoldenRun {
+    /// Cycle the measured window starts at.
+    start: u64,
+    /// One observation per planned site, in plan order.
+    seen: Vec<SiteObs>,
+    report: AvfReport,
+    trace: GoldenTrace,
+}
+
+/// The golden run: ACE analysis and trace recording over the measured
+/// window, with every planned site observed at its cycle and every
+/// pipeline-mutating trial forked off on the spot. The golden pipeline
+/// and the ACE collector end here, so classification holds only the
+/// trace.
+fn golden_run(
+    cfg: &CampaignConfig,
+    programs: &[Arc<Program>],
+    make_policies: &dyn Fn() -> PipelinePolicies,
+    plan: &[Planned],
+) -> GoldenRun {
     let mut pipeline = Pipeline::new(cfg.machine.clone(), programs.to_vec(), make_policies());
     let start = pipeline.warm_up(cfg.warmup_insts);
     let mut collector =
         AvfCollector::new(&cfg.machine, cfg.ace_window, 10_000).with_start_cycle(start);
-    let mut recorder = GoldenRecorder::default();
-    let mut observations: Vec<SiteObs> = Vec::with_capacity(plan.len());
-    {
-        let mut obs = Tandem(&mut collector, &mut recorder);
-        let mut next = 0usize;
-        while pipeline.cycle() - start < cfg.run_cycles {
-            let off = pipeline.cycle() - start;
-            while next < plan.len() && plan[next].off == off {
-                observations.push(observe(&pipeline, &plan[next]));
-                next += 1;
-            }
-            pipeline.step(&mut obs);
+    let mut recorder = TraceRecorder::new(cfg.machine.num_threads);
+    let mut seen = Vec::with_capacity(plan.len());
+    let mut obs = Tandem(&mut collector, &mut recorder);
+    let mut next = 0usize;
+    while pipeline.cycle() - start < cfg.run_cycles {
+        let off = pipeline.cycle() - start;
+        while next < plan.len() && plan[next].off == off {
+            let site = &plan[next];
+            seen.push(observe(&pipeline, site, |victim_seq| {
+                fork_trial(cfg, programs, make_policies, &pipeline, site, victim_seq)
+            }));
+            next += 1;
         }
-        debug_assert_eq!(next, plan.len());
-        let end = pipeline.cycle();
-        obs.on_finish(end);
+        pipeline.step(&mut obs);
     }
-    let report = collector.report();
-    let commits = recorder.commits;
-    let committed_seqs: HashSet<u64> = commits.iter().map(|r| r.seq).collect();
-    let golden = golden_digest(n, &commits);
+    debug_assert_eq!(next, plan.len());
+    obs.on_finish(pipeline.cycle());
+    GoldenRun {
+        start,
+        seen,
+        report: collector.report(),
+        trace: recorder.finish(),
+    }
+}
+
+/// Run a fault-injection campaign. `make_policies` builds one fresh
+/// policy set per simulation (the golden run and each forked trial);
+/// campaign counters go to `metrics` and per-trial events to `tracer`.
+pub fn run_campaign(
+    cfg: &CampaignConfig,
+    programs: &[Arc<Program>],
+    make_policies: &dyn Fn() -> PipelinePolicies,
+    metrics: &Metrics,
+    tracer: &Tracer,
+) -> CampaignResult {
+    assert!(cfg.run_cycles > 0, "empty measurement window");
+    assert_eq!(programs.len(), cfg.machine.num_threads);
+
+    let plan = plan_sites(cfg);
+    let GoldenRun {
+        start,
+        seen,
+        report,
+        trace,
+    } = golden_run(cfg, programs, make_policies, &plan);
 
     // ---- Classify every trial. ----
     let mut iq = StructureStats::new(Structure::IssueQueue);
     let mut rob = StructureStats::new(Structure::Rob);
     let mut rf = StructureStats::new(Structure::RegFile);
-    for (site, seen) in plan.iter().zip(observations) {
-        let victim_seq = match seen {
-            SiteObs::Payload { victim_seq } | SiteObs::Critical { victim_seq, .. } => {
-                Some(victim_seq)
-            }
-            _ => None,
-        };
+    for (site, seen) in plan.iter().zip(seen) {
         let mut latent = false;
-        let judge = |faulty: &SinkDigest, latent: &mut bool| {
-            if !faulty.chains_match(&golden) {
-                Outcome::Sdc
-            } else {
-                *latent = faulty.rf_hash != golden.rf_hash;
+        let mut judge = |directive| {
+            let verdict = trace.judge(directive);
+            latent = verdict.latent;
+            if verdict.chains_match {
                 Outcome::Masked
+            } else {
+                Outcome::Sdc
             }
         };
         let outcome = match seen {
             SiteObs::MaskedFast => Outcome::Masked,
-            SiteObs::Payload { victim_seq } => {
-                if !committed_seqs.contains(&victim_seq) {
-                    // Squashed (or never retired): corruption discarded.
-                    Outcome::Masked
-                } else {
-                    let faulty = replay(
-                        n,
-                        &commits,
-                        FaultDirective::PerturbResult {
-                            victim_seq,
-                            perturbation: perturbation(site.bit),
-                        },
-                    );
-                    judge(&faulty, &mut latent)
-                }
-            }
-            SiteObs::Critical {
+            SiteObs::Payload { victim_seq } => judge(FaultDirective::PerturbResult {
                 victim_seq,
-                waiting: false,
-            } => {
-                if committed_seqs.contains(&victim_seq) {
+                perturbation: perturbation(site.bit),
+            }),
+            SiteObs::Critical { victim_seq } => {
+                if trace.contains(victim_seq) {
                     Outcome::Detected
                 } else {
                     Outcome::Masked
                 }
             }
-            SiteObs::Critical {
-                victim_seq,
-                waiting: true,
-            } => resimulate(cfg, programs, make_policies, site, victim_seq),
-            SiteObs::RegFlip { tid, reg_index } => {
-                let faulty = replay(
-                    n,
-                    &commits,
-                    FaultDirective::FlipRegister {
-                        tid,
-                        reg_index,
-                        bit: site.bit,
-                        at_cycle: start + site.off,
-                    },
-                );
-                judge(&faulty, &mut latent)
-            }
+            SiteObs::Forked { outcome, .. } => outcome,
+            SiteObs::RegFlip { tid, reg_index } => judge(FaultDirective::FlipRegister {
+                tid,
+                reg_index,
+                bit: site.bit,
+                at_cycle: start + site.off,
+            }),
         };
         let stats = match site.structure {
             Structure::IssueQueue => &mut iq,
@@ -482,7 +523,7 @@ pub fn run_campaign(
             structure: site.structure.as_str().to_string(),
             entry: site.entry,
             bit: site.bit,
-            victim_seq,
+            victim_seq: seen.victim_seq(),
             outcome: outcome.label().to_string(),
         });
     }
@@ -493,12 +534,12 @@ pub fn run_campaign(
     CampaignResult {
         seed: cfg.seed,
         cycles: cfg.run_cycles,
-        committed: commits.len() as u64,
+        committed: trace.committed(),
         ace_iq_avf: report.iq_avf,
         ace_rob_avf: report.rob_avf,
         ace_rf_avf: report.rf_avf,
         ace_max_interval_iq_avf: report.max_interval_iq_avf(),
-        golden,
+        golden: trace.digest().clone(),
         structures: vec![iq, rob, rf],
     }
 }
@@ -506,7 +547,9 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smt_sim::AppliedFault;
+    use crate::digest::{golden_digest, replay, GoldenRecorder};
+    use smt_sim::{AppliedFault, NullObserver};
+    use std::collections::HashSet;
     use workload_gen::{generate_program_salted, model_by_name};
 
     fn cpu_programs(salt: u64) -> Vec<Arc<Program>> {
@@ -609,6 +652,55 @@ mod tests {
         assert_eq!(counter("faultinject.trials"), total);
         let masked: u64 = result.structures.iter().map(|s| s.masked).sum();
         assert_eq!(counter("faultinject.masked"), masked);
+    }
+
+    /// The trial a fresh machine runs when it is warmed up and stepped
+    /// to the injection cycle on its own: the oracle for forked trials.
+    fn resimulate_from_start(
+        cfg: &CampaignConfig,
+        programs: &[Arc<Program>],
+        site: &Planned,
+        victim_seq: u64,
+    ) -> Outcome {
+        let mut pipeline = Pipeline::new(
+            cfg.machine.clone(),
+            programs.to_vec(),
+            PipelinePolicies::default(),
+        );
+        pipeline.warm_up(cfg.warmup_insts);
+        for _ in 0..site.off {
+            pipeline.step(&mut NullObserver);
+        }
+        run_trial(cfg, pipeline, site, victim_seq)
+    }
+
+    #[test]
+    fn forked_trials_match_resimulation_from_cycle_zero() {
+        let mut compared = 0;
+        for seed in [3, 5, 11] {
+            // More control-bit sites than the small campaign samples.
+            let cfg = CampaignConfig {
+                iq_trials: 150,
+                rob_trials: 75,
+                rf_trials: 0,
+                ..small_cfg(seed)
+            };
+            let programs = cpu_programs(seed);
+            let plan = plan_sites(&cfg);
+            let golden = golden_run(&cfg, &programs, &PipelinePolicies::default, &plan);
+            for (site, seen) in plan.iter().zip(&golden.seen) {
+                if let SiteObs::Forked {
+                    victim_seq,
+                    outcome,
+                } = *seen
+                {
+                    let oracle = resimulate_from_start(&cfg, &programs, site, victim_seq);
+                    assert_eq!(outcome, oracle, "seed {seed}, site {site:?}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 0, "no waiting-critical site was sampled");
     }
 
     // ------------------------------------------------------------------

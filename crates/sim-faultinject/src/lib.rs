@@ -20,10 +20,13 @@
 //! validated (or falsified) seed by seed.
 //!
 //! [`digest`] holds the golden-run machinery: commit-stream capture,
-//! the commit-order architectural emulator, and the sink-stream digest
-//! that defines "architecturally identical". [`campaign`] holds the
-//! sampler, the replay/re-simulate classification split, and the
-//! statistics.
+//! the commit-order architectural emulator, the sink-stream digest that
+//! defines "architecturally identical", and the golden trace that
+//! judges a value fault by differential replay of the victim thread
+//! alone. [`campaign`] holds the sampler, the classification split
+//! (differential replay for value faults, trials forked from the golden
+//! pipeline for faults that mutate it), and the statistics. No trial
+//! starts from cycle zero.
 
 pub mod campaign;
 pub mod digest;
@@ -33,5 +36,5 @@ pub use campaign::{
 };
 pub use digest::{
     golden_digest, mix, replay, ArchEmulator, CommitRec, FateObserver, FaultDirective,
-    GoldenRecorder, SinkDigest, Tandem,
+    GoldenRecorder, GoldenTrace, SinkDigest, Tandem, Verdict,
 };

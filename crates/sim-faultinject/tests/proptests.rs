@@ -11,12 +11,13 @@ use std::sync::{Arc, OnceLock};
 use avf::{AceAnalyzer, AceInstRecord, Finalized};
 use proptest::prelude::*;
 use sim_faultinject::{
-    golden_digest, replay, CampaignConfig, CommitRec, FaultDirective, GoldenRecorder, SinkDigest,
+    golden_digest, replay, CampaignConfig, CommitRec, FaultDirective, GoldenRecorder, GoldenTrace,
+    SinkDigest, Verdict,
 };
 use sim_metrics::Metrics;
 use sim_trace::Tracer;
 use smt_sim::pipeline::PipelinePolicies;
-use smt_sim::{MachineConfig, Pipeline, SimObserver};
+use smt_sim::{MachineConfig, Pipeline, SimObserver, REGS_PER_THREAD};
 use workload_gen::{generate_program_salted, model_by_name, Program};
 
 const NUM_THREADS: usize = 4;
@@ -48,6 +49,7 @@ fn capture(salt: u64, warmup_insts: u64, run_cycles: u64) -> Vec<CommitRec> {
 struct Fixture {
     commits: Vec<CommitRec>,
     golden: SinkDigest,
+    trace: GoldenTrace,
     /// Committed seqs the ACE analyzer finalizes as un-ACE, using a
     /// window wider than the whole run (so the classification is exact,
     /// not truncation-limited).
@@ -87,9 +89,11 @@ fn fixture() -> &'static Fixture {
             !unace.is_empty(),
             "fixture run produced no un-ACE instructions"
         );
+        let trace = GoldenTrace::from_commits(NUM_THREADS, &commits);
         Fixture {
             commits,
             golden,
+            trace,
             unace,
         }
     })
@@ -118,6 +122,54 @@ proptest! {
             faulty.chains_match(&fx.golden),
             "un-ACE victim seq {victim_seq} (bit {bit}) corrupted the sink stream"
         );
+    }
+}
+
+#[test]
+fn golden_trace_digest_is_the_golden_digest() {
+    let fx = fixture();
+    assert_eq!(fx.trace.digest(), &fx.golden);
+    assert_eq!(fx.trace.committed(), fx.commits.len() as u64);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential replay of the victim thread reaches the same verdict
+    /// as a full replay of the whole stream, for payload perturbations
+    /// (committed or not) and register flips (up to past the last
+    /// retirement, where they are never applied).
+    #[test]
+    fn differential_judgement_matches_full_replay(
+        pick in 0usize..1 << 20,
+        skew in 0u64..2,
+        bit in 0u32..64,
+        tid in 0u8..NUM_THREADS as u8,
+        reg_index in 0usize..REGS_PER_THREAD,
+        flip_bit in 0u32..64,
+        when in 0u64..1 << 20,
+    ) {
+        let fx = fixture();
+        let victim_seq = fx.commits[pick % fx.commits.len()].seq + skew;
+        let first = fx.commits[0].retire_cycle;
+        let last = fx.commits[fx.commits.len() - 1].retire_cycle;
+        let at_cycle = first + when % (last - first + 200);
+        let directives = [
+            FaultDirective::PerturbResult {
+                victim_seq,
+                perturbation: 0x8000_0000_0000_0001u64.rotate_left(bit),
+            },
+            FaultDirective::FlipRegister {
+                tid,
+                reg_index,
+                bit: flip_bit,
+                at_cycle,
+            },
+        ];
+        for directive in directives {
+            let full = Verdict::of(&replay(NUM_THREADS, &fx.commits, directive), &fx.golden);
+            prop_assert_eq!(fx.trace.judge(directive), full, "{:?}", directive);
+        }
     }
 }
 
