@@ -1,22 +1,20 @@
-//! `bench-baseline` — the perf/AVF regression harness.
+//! `bench-baseline` — the simulated-metric drift gate.
 //!
 //! Runs a fixed, scheme-diverse exhibit set (baseline, opt1, opt2 and
 //! DVM, over CPU- and MEM-bound mixes) across N workload salts and
-//! records, per exhibit, the cross-seed [`SeedSummary`] of host
-//! wall-time, simulator throughput (cycles/s), throughput IPC, harmonic
-//! IPC and ground-truth IQ AVF into a schema-versioned
+//! records, per exhibit, the cross-seed [`SeedSummary`] of throughput
+//! IPC, harmonic IPC and ground-truth IQ AVF into a schema-versioned
 //! `BENCH_<tag>.json`. A later run compares itself against that file
-//! with [`compare`]: wall-time regressions are gated one-sided at
-//! +15 %, simulator-throughput drops one-sided at −15 % *and* beyond the
-//! combined 95 % confidence intervals, and simulation metrics two-sided
-//! at 2 % *and* beyond the combined CI95s — a drift smaller than the
-//! seed noise is not a regression, it is weather.
+//! with [`compare`]: each metric is gated two-sided at 2 % *and* beyond
+//! the combined 95 % confidence intervals — a drift smaller than the
+//! seed noise is not a regression, it is weather. Host speed is not
+//! gated here; `perfbench` owns throughput.
 
 use crate::checkpoint::{CheckpointPolicy, DEFAULT_SNAPSHOT_EVERY};
 use crate::context::ExperimentContext;
 use crate::manifest::BudgetSummary;
 use crate::report::Rendered;
-use crate::runner::drive;
+use crate::runner::{drive, RunVariant};
 use iq_reliability::Scheme;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -34,12 +32,9 @@ use std::path::Path;
 /// gained an explicit `quarantined` section.
 /// v3: samples and exhibits carry simulator throughput
 /// (`cycles_per_sec`), gated one-sided on `--check-baseline`.
-pub const BENCH_SCHEMA_VERSION: u32 = 3;
-
-// The gate tolerances live in `sim_stats::gate` so the `sim-report`
-// diff engine flags exactly what `--check-baseline` would fail on;
-// re-exported here for the existing callers.
-pub use sim_stats::gate::{METRIC_TOLERANCE, THROUGHPUT_TOLERANCE, WALL_TIME_TOLERANCE};
+/// v4: host wall time and throughput are gone; only simulated metrics
+/// are recorded and gated.
+pub const BENCH_SCHEMA_VERSION: u32 = 4;
 
 /// One fixed benchmark case.
 pub struct BenchCase {
@@ -87,9 +82,6 @@ pub struct BenchExhibit {
     pub mix: String,
     pub scheme: String,
     pub fetch: String,
-    pub wall_time_s: SeedSummary,
-    /// Simulated cycles per host second over the measured window.
-    pub cycles_per_sec: SeedSummary,
     pub throughput_ipc: SeedSummary,
     pub harmonic_ipc: SeedSummary,
     pub iq_avf: SeedSummary,
@@ -138,8 +130,6 @@ pub struct BenchSample {
     /// Index into [`bench_cases`].
     pub case: u64,
     pub salt: u64,
-    pub wall_time_s: f64,
-    pub cycles_per_sec: f64,
     pub throughput_ipc: f64,
     pub harmonic_ipc: f64,
     pub iq_avf: f64,
@@ -246,7 +236,7 @@ pub fn run_bench_supervised(
         let out = drive(
             ctx,
             &mix,
-            case.scheme,
+            &RunVariant::from(case.scheme),
             case.fetch,
             salt,
             Some(jctx.cancel.clone()),
@@ -277,8 +267,6 @@ pub fn run_bench_supervised(
         Ok(BenchSample {
             case: c as u64,
             salt,
-            wall_time_s: out.timings.total_s(),
-            cycles_per_sec: out.cycles_per_sec,
             throughput_ipc: out.throughput_ipc,
             harmonic_ipc: out.harmonic_ipc,
             iq_avf: out.avf.iq_avf,
@@ -307,8 +295,6 @@ pub fn run_bench_supervised(
                 mix: case.mix.to_string(),
                 scheme: case.scheme.label().to_string(),
                 fetch: format!("{:?}", case.fetch),
-                wall_time_s: col(&|s| s.wall_time_s),
-                cycles_per_sec: col(&|s| s.cycles_per_sec),
                 throughput_ipc: col(&|s| s.throughput_ipc),
                 harmonic_ipc: col(&|s| s.harmonic_ipc),
                 iq_avf: col(&|s| s.iq_avf),
@@ -342,8 +328,6 @@ pub fn render(b: &BenchBaseline) -> Rendered {
         "mix",
         "scheme",
         "fetch",
-        "wall s",
-        "cyc/s",
         "IPC",
         "harmonic IPC",
         "IQ AVF",
@@ -354,8 +338,6 @@ pub fn render(b: &BenchBaseline) -> Rendered {
             e.mix.clone(),
             e.scheme.clone(),
             e.fetch.clone(),
-            e.wall_time_s.display(2),
-            e.cycles_per_sec.display(0),
             e.throughput_ipc.display(3),
             e.harmonic_ipc.display(3),
             e.iq_avf.display(4),
@@ -417,35 +399,6 @@ pub fn compare(baseline: &BenchBaseline, current: &BenchBaseline) -> Vec<String>
             out.push(format!("exhibit {} missing from current run", base.name));
             continue;
         };
-        // Wall time: one-sided, means only (getting faster is fine).
-        if gate::wall_time_regresses(&base.wall_time_s, &cur.wall_time_s, WALL_TIME_TOLERANCE)
-            .is_some()
-        {
-            out.push(format!(
-                "{}: wall time {:.2}s exceeds baseline {:.2}s by more than {:.0}%",
-                base.name,
-                cur.wall_time_s.mean,
-                base.wall_time_s.mean,
-                WALL_TIME_TOLERANCE * 100.0
-            ));
-        }
-        // Simulator throughput: one-sided, drop-only (speedups never
-        // regress), and only when the drop also exceeds the combined
-        // CI95s — host noise recorded in the baseline widens the gate.
-        if let Some(d) = gate::throughput_regresses(
-            &base.cycles_per_sec,
-            &cur.cycles_per_sec,
-            THROUGHPUT_TOLERANCE,
-        ) {
-            out.push(format!(
-                "{}: simulator throughput {:.0} cycles/s fell more than {:.0}% below baseline {:.0} cycles/s (combined CI95 {:.0})",
-                base.name,
-                cur.cycles_per_sec.mean,
-                THROUGHPUT_TOLERANCE * 100.0,
-                base.cycles_per_sec.mean,
-                d.combined_ci95
-            ));
-        }
         for (metric, b, c) in [
             ("throughput IPC", &base.throughput_ipc, &cur.throughput_ipc),
             ("harmonic IPC", &base.harmonic_ipc, &cur.harmonic_ipc),
@@ -464,7 +417,7 @@ pub fn compare(baseline: &BenchBaseline, current: &BenchBaseline) -> Vec<String>
     out
 }
 
-/// Two-sided metric gate: relative drift beyond [`METRIC_TOLERANCE`]
+/// Two-sided metric gate: relative drift beyond [`gate::METRIC_TOLERANCE`]
 /// *and* beyond the combined CI95 half-widths (so seed noise recorded
 /// in the baseline widens the gate instead of tripping it). The math is
 /// [`gate::metric_regresses`]; this wrapper renders the failure line.
@@ -474,7 +427,7 @@ fn metric_drift(
     base: &SeedSummary,
     cur: &SeedSummary,
 ) -> Option<String> {
-    gate::metric_regresses(base, cur, METRIC_TOLERANCE).map(|d| {
+    gate::metric_regresses(base, cur, gate::METRIC_TOLERANCE).map(|d| {
         format!(
             "{exhibit}: {metric} drifted {:.2}% ({} -> {}; combined CI95 {:.4})",
             d.rel.abs() * 100.0,
@@ -504,8 +457,6 @@ mod tests {
             mix: "CPU-A".to_string(),
             scheme: "baseline".to_string(),
             fetch: "Icount".to_string(),
-            wall_time_s: summary(10.0, 0.5),
-            cycles_per_sec: summary(120_000.0, 2_000.0),
             throughput_ipc: summary(3.0, 0.01),
             harmonic_ipc: summary(0.7, 0.005),
             iq_avf: summary(0.30, 0.002),
@@ -534,44 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_time_gate_is_one_sided() {
-        let b = baseline();
-        let mut fast = b.clone();
-        fast.exhibits[0].wall_time_s = summary(2.0, 0.1);
-        assert!(compare(&b, &fast).is_empty(), "speedups never regress");
-        let mut slow = b.clone();
-        slow.exhibits[0].wall_time_s = summary(12.0, 0.1);
-        let regressions = compare(&b, &slow);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("wall time"));
-    }
-
-    #[test]
-    fn throughput_gate_is_one_sided_and_ci_widened() {
-        let b = baseline();
-        // Faster simulator: never a regression.
-        let mut fast = b.clone();
-        fast.exhibits[0].cycles_per_sec = summary(200_000.0, 2_000.0);
-        assert!(compare(&b, &fast).is_empty(), "speedups pass");
-        // 10% drop: inside the 15% tolerance, passes.
-        let mut small = b.clone();
-        small.exhibits[0].cycles_per_sec = summary(108_000.0, 2_000.0);
-        assert!(compare(&b, &small).is_empty());
-        // 20% drop but huge CIs: host noise, passes.
-        let mut noisy_base = b.clone();
-        noisy_base.exhibits[0].cycles_per_sec = summary(120_000.0, 30_000.0);
-        let mut noisy = b.clone();
-        noisy.exhibits[0].cycles_per_sec = summary(96_000.0, 2_000.0);
-        assert!(compare(&noisy_base, &noisy).is_empty());
-        // 20% drop with tight CIs: regression.
-        let mut slow = b.clone();
-        slow.exhibits[0].cycles_per_sec = summary(96_000.0, 1_000.0);
-        let regressions = compare(&b, &slow);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("simulator throughput"));
-    }
-
-    #[test]
     fn metric_gate_needs_both_tolerance_and_ci_excess() {
         let b = baseline();
         // 1% IPC drift: inside tolerance, passes.
@@ -581,7 +494,6 @@ mod tests {
         // 10% drift but huge CIs: noise, passes.
         let mut noisy = b.clone();
         noisy.exhibits[0].throughput_ipc = summary(3.3, 0.4);
-        noisy.exhibits[0].wall_time_s = b.exhibits[0].wall_time_s;
         let mut wide_base = b.clone();
         wide_base.exhibits[0].throughput_ipc = summary(3.0, 0.4);
         assert!(compare(&wide_base, &noisy).is_empty());
@@ -684,8 +596,7 @@ mod tests {
 
     /// End-to-end resilience acceptance: a campaign interrupted by a
     /// (simulated) SIGINT resumes from its journal and produces the
-    /// same simulation results as an uninterrupted campaign — only the
-    /// nondeterministic host wall-time may differ.
+    /// same baseline document as an uninterrupted campaign.
     #[test]
     fn interrupted_campaign_resumes_to_matching_baseline() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -720,14 +631,12 @@ mod tests {
         let int_ctx = ExperimentContext::new(params);
         let stop = Arc::clone(&flag);
         // Flip the flag from a watcher thread once the journal gains
-        // its first record (i.e. one job finished).
+        // its first `done` record (i.e. one job finished; a mid-run
+        // `checkpointed` marker lands earlier and does not count).
         let journal = dir.join("journal.jsonl");
         let watcher = std::thread::spawn(move || {
             for _ in 0..2000 {
-                if std::fs::metadata(&journal)
-                    .map(|m| m.len() > 0)
-                    .unwrap_or(false)
-                {
+                if std::fs::read_to_string(&journal).is_ok_and(|text| text.contains("\"done\"")) {
                     stop.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -767,16 +676,9 @@ mod tests {
             Some(resumed.stats.resumed)
         );
 
-        // Identical simulation results; wall time is host noise, so
-        // blank it on both sides before comparing.
-        let strip = |mut b: BenchBaseline| {
-            for e in &mut b.exhibits {
-                e.wall_time_s = SeedSummary::from_samples(&[]);
-                e.cycles_per_sec = SeedSummary::from_samples(&[]);
-            }
-            b
-        };
-        assert_eq!(strip(resumed.baseline), strip(clean));
+        // Identical simulation results: the document holds no host
+        // timing, so the whole baseline must match.
+        assert_eq!(resumed.baseline, clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -892,14 +794,7 @@ mod tests {
             resumed.baseline.quarantined
         );
 
-        let strip = |mut b: BenchBaseline| {
-            for e in &mut b.exhibits {
-                e.wall_time_s = SeedSummary::from_samples(&[]);
-                e.cycles_per_sec = SeedSummary::from_samples(&[]);
-            }
-            b
-        };
-        assert_eq!(strip(resumed.baseline), strip(clean));
+        assert_eq!(resumed.baseline, clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

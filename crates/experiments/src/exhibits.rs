@@ -9,7 +9,7 @@
 
 use crate::context::ExperimentContext;
 use crate::report::Rendered;
-use crate::{fig1, fig10, fig2, fig5, fig6, fig8, table1, table2, table3};
+use crate::{ablations, fig1, fig10, fig2, fig5, fig6, fig8, table1, table2, table3};
 use smt_sim::FetchPolicyKind;
 
 /// One runnable exhibit: CLI name, one-line description, runner.
@@ -27,7 +27,7 @@ impl Exhibit {
 }
 
 /// Every exhibit, in paper order.
-pub const EXHIBITS: [Exhibit; 10] = [
+pub const EXHIBITS: [Exhibit; 11] = [
     Exhibit {
         name: "table1",
         description: "PC-based ACE identification accuracy per benchmark",
@@ -83,12 +83,28 @@ pub const EXHIBITS: [Exhibit; 10] = [
         description: "PVE comparison of all schemes at every threshold",
         run: |ctx| vec![fig10::render(&fig10::run(ctx))],
     },
+    Exhibit {
+        name: "ablations",
+        description: "sensitivity of the design constants: opt1 regions, Tcache_miss, interval, DVM trigger, wq_ratio, VISA",
+        run: |ctx| vec![ablations::render(&ablations::run(ctx))],
+    },
 ];
 
 /// The order `all` runs in: cheap static tables first (table2/table3
-/// render without simulating), then the simulation campaign.
-pub const DEFAULT_ORDER: [&str; 10] = [
-    "table2", "table3", "table1", "fig1", "fig2", "fig5", "fig6", "fig8", "fig9", "fig10",
+/// render without simulating), then the simulation campaign, then the
+/// ablations.
+pub const DEFAULT_ORDER: [&str; 11] = [
+    "table2",
+    "table3",
+    "table1",
+    "fig1",
+    "fig2",
+    "fig5",
+    "fig6",
+    "fig8",
+    "fig9",
+    "fig10",
+    "ablations",
 ];
 
 /// Look an exhibit up by CLI name.

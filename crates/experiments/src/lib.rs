@@ -13,6 +13,7 @@
 //! | [`fig6`] | Figure 6 | the same under STALL / FLUSH / DG / PDG baselines |
 //! | [`fig8`] | Figures 8 & 9 | DVM PVE and performance at 0.7–0.3 × MaxIQ_AVF (ICOUNT / FLUSH) |
 //! | [`fig10`] | Figure 10 | PVE comparison of all schemes at every threshold |
+//! | [`ablations`] | — | sensitivity of the paper's design constants (DESIGN §6) |
 //!
 //! All runners share an [`ExperimentContext`]: per-benchmark profiled
 //! (ACE-hint-tagged) programs, standard warmup, and the measurement
@@ -20,6 +21,7 @@
 //! the host ([`parallel::parallel_map`]) — simulations share nothing
 //! mutable, so the fan-out is embarrassingly parallel.
 
+pub mod ablations;
 pub mod bench;
 pub mod chaos;
 pub mod checkpoint;

@@ -1,4 +1,4 @@
-//! CLI: regenerate the paper's tables and figures.
+//! CLI: regenerate the paper's tables, figures and ablations.
 //!
 //! ```text
 //! experiments [--fast] [--jobs N] [--csv DIR] [--manifest DIR]
@@ -21,9 +21,10 @@
 //!             [--payload JSON] [--priority low|normal|high] [--timeout-s N]
 //! ```
 //!
-//! With no exhibit arguments, everything runs (`all`). `--fast` uses the
-//! reduced measurement budget (quick sanity pass); the default is the
-//! full budget recorded in EXPERIMENTS.md. `--csv DIR` additionally
+//! With no exhibit arguments, everything runs (`all`), ending with the
+//! `ablations` exhibit (the paper's design-constant sweeps, one run per
+//! variant). `--fast` uses the reduced measurement budget (quick sanity
+//! pass); the default is the full budget recorded in EXPERIMENTS.md. `--csv DIR` additionally
 //! writes each exhibit's table as `DIR/<exhibit>.csv`. `--manifest DIR`
 //! writes one JSON run manifest per simulation (machine config, seeds,
 //! scheme, budget, phase timings, final metrics). `--trace DIR` exports
@@ -49,8 +50,8 @@
 //! workload salts (default 3) and prints the cross-seed report;
 //! `--out FILE` records the schema-versioned baseline JSON and
 //! `--check-baseline FILE` compares against a recorded one, failing on
-//! any wall-time (>15 %) or simulation-metric (>2 % beyond seed noise)
-//! regression.
+//! any throughput-IPC, harmonic-IPC or IQ-AVF drift (>2 % beyond seed
+//! noise). Host speed is not gated here; `perfbench` measures it.
 //!
 //! `fault-inject` runs Monte-Carlo SEU campaigns (baseline and DVM) over
 //! `--seeds` workload salts with `--trials` IQ injections each and
@@ -93,8 +94,9 @@
 //! `report` reads a store back: `--list` prints the index, `--diff
 //! SEL_A SEL_B` compares two run selections (`key=value,...` selectors
 //! over exhibit/mix/scheme/salt/batch/config, or run-id prefixes) with
-//! the same significance gates as `--check-baseline` and exits `3` on
-//! significant drift, and `--html FILE` renders a self-contained
+//! the `sim_stats::gate` significance gates (simulated metrics as in
+//! `--check-baseline`, plus one-sided wall-time and throughput gates)
+//! and exits `3` on significant drift, and `--html FILE` renders a self-contained
 //! dashboard (summary tables, per-interval SVG charts, fault-injection
 //! outcome breakdowns, profiler hot spots — no external references).
 //!

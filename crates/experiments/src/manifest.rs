@@ -1,7 +1,7 @@
 //! Run manifests: one self-describing JSON document per simulation.
 //!
 //! A manifest pins down everything needed to reproduce (and audit) one
-//! `run_scheme` invocation — machine configuration, per-benchmark
+//! measured run — machine configuration, per-benchmark
 //! workload seeds, scheme and fetch policy, measurement budget — plus
 //! what it cost (wall-clock phase timings) and what it produced (final
 //! metrics). The experiments CLI writes one file per run under
@@ -10,11 +10,10 @@
 
 use crate::context::ExperimentContext;
 use crate::runner::RunOutcome;
-use iq_reliability::Scheme;
 use serde::{Deserialize, Serialize};
 use sim_metrics::summary::MetricsSummary;
 use sim_trace::timing::{PhaseTimings, StageSeconds};
-use smt_sim::{FetchPolicyKind, MachineConfig};
+use smt_sim::MachineConfig;
 use std::io;
 use std::path::{Path, PathBuf};
 use workload_gen::WorkloadMix;
@@ -124,8 +123,6 @@ impl RunManifest {
         run_id: u64,
         ctx: &ExperimentContext,
         mix: &WorkloadMix,
-        scheme: Scheme,
-        fetch: FetchPolicyKind,
         outcome: &RunOutcome,
     ) -> RunManifest {
         let seeds = mix
@@ -145,8 +142,8 @@ impl RunManifest {
             benchmarks: mix.benchmarks.iter().map(|&b| b.to_string()).collect(),
             seeds,
             salt: outcome.salt,
-            scheme: scheme.label().to_string(),
-            fetch_policy: format!("{fetch:?}"),
+            scheme: outcome.scheme.to_string(),
+            fetch_policy: format!("{:?}", outcome.fetch),
             machine: MachineSummary::from_config(&ctx.machine),
             budget: BudgetSummary {
                 profile_insts: ctx.params.profile_insts,

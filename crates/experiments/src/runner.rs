@@ -1,8 +1,9 @@
 //! Low-level simulation driver shared by every experiment.
 //!
-//! Every measured run — exhibits, bench samples, checkpointed campaign
-//! jobs — goes through one driver (`drive`); checkpointing is an
-//! optional argument to it, not a separate code path.
+//! Every measured run — exhibits, ablation variants, bench samples,
+//! checkpointed campaign jobs — goes through one driver (`drive`);
+//! checkpointing is an optional argument to it, not a separate code
+//! path, and what the run simulates is a `RunVariant`.
 
 use crate::checkpoint::{
     decode_checkpoint, run_measured_checkpointed, CheckpointPolicy, C_SNAPSHOTS_RESTORED,
@@ -11,7 +12,7 @@ use crate::checkpoint::{
 use crate::context::ExperimentContext;
 use crate::manifest::{slug, RunManifest};
 use avf::{AvfCollector, AvfReport};
-use iq_reliability::Scheme;
+use iq_reliability::{DvmHandle, Scheme};
 use sim_harness::JobError;
 use sim_metrics::summary::MetricsSummary;
 use sim_metrics::Metrics;
@@ -19,8 +20,36 @@ use sim_profile::ProfileReport;
 use sim_trace::chrome::ChromeTraceSink;
 use sim_trace::timing::{PhaseTimings, StageSeconds};
 use sim_trace::{TraceEvent, Tracer};
-use smt_sim::{CancelToken, FetchPolicyKind, Pipeline, SimLimits, SimStats};
+use smt_sim::pipeline::PipelinePolicies;
+use smt_sim::{
+    CancelToken, FetchPolicyKind, Pipeline, SimLimits, SimStats, DEFAULT_INTERVAL_CYCLES,
+};
 use workload_gen::WorkloadMix;
+
+/// Builds one run's policy bundle for a fetch policy and IQ size; DVM
+/// builders also return the controller's telemetry handle.
+pub(crate) type PolicyBuilder =
+    dyn Fn(FetchPolicyKind, usize) -> (PipelinePolicies, Option<DvmHandle>) + Send + Sync;
+
+/// What one measured run simulates: the label its manifest and artifact
+/// names carry, the policy builder, and the governor sampling interval.
+/// Every evaluated [`Scheme`] is one (`RunVariant::from`); the ablations
+/// build the rest.
+pub(crate) struct RunVariant {
+    pub label: &'static str,
+    pub policies: Box<PolicyBuilder>,
+    pub interval_cycles: u64,
+}
+
+impl From<Scheme> for RunVariant {
+    fn from(scheme: Scheme) -> RunVariant {
+        RunVariant {
+            label: scheme.label(),
+            policies: Box::new(move |fetch, iq_size| scheme.policies(fetch, iq_size)),
+            interval_cycles: DEFAULT_INTERVAL_CYCLES,
+        }
+    }
+}
 
 /// Everything one simulation produced.
 #[derive(Debug, Clone)]
@@ -86,7 +115,8 @@ pub fn run_scheme_salted(
     fetch: FetchPolicyKind,
     salt: u64,
 ) -> RunOutcome {
-    drive(ctx, mix, scheme, fetch, salt, None, None).expect("uncheckpointed runs cannot fail")
+    drive(ctx, mix, &scheme.into(), fetch, salt, None, None)
+        .expect("uncheckpointed runs cannot fail")
 }
 
 /// [`run_scheme_salted`] with an optional cooperative cancel token and
@@ -122,7 +152,7 @@ pub fn run_scheme_checkpointed(
     drive(
         ctx,
         mix,
-        scheme,
+        &scheme.into(),
         fetch,
         salt,
         cancel,
@@ -140,7 +170,7 @@ pub fn run_scheme_checkpointed(
 pub(crate) fn drive(
     ctx: &ExperimentContext,
     mix: &WorkloadMix,
-    scheme: Scheme,
+    variant: &RunVariant,
     fetch: FetchPolicyKind,
     salt: u64,
     cancel: Option<CancelToken>,
@@ -148,6 +178,12 @@ pub(crate) fn drive(
 ) -> Result<RunOutcome, JobError> {
     let mut timings = PhaseTimings::default();
     let run_id = ctx.next_run_id();
+    let base = format!(
+        "run{:04}_{}_{}",
+        run_id,
+        slug(&mix.name),
+        slug(variant.label)
+    );
 
     let programs = PhaseTimings::time(&mut timings.generate_s, || {
         ctx.mix_programs_salted(mix, salt)
@@ -157,13 +193,14 @@ pub(crate) fn drive(
     // partial restore from a corrupt file can never contaminate the
     // state an older valid snapshot then restores into.
     let build = || {
-        let (policies, dvm_handle) = scheme.policies(fetch, ctx.machine.iq_size);
-        let pipeline = Pipeline::new(ctx.machine.clone(), programs.clone(), policies);
+        let (policies, dvm_handle) = (variant.policies)(fetch, ctx.machine.iq_size);
+        let mut pipeline = Pipeline::new(ctx.machine.clone(), programs.clone(), policies);
+        pipeline.set_interval_cycles(variant.interval_cycles);
         let collector = AvfCollector::new(&ctx.machine, ctx.params.ace_window, 10_000);
         (pipeline, collector, dvm_handle)
     };
     let restored = match &checkpoint {
-        Some((policy, _)) => restore_latest(policy, mix, scheme, build)?,
+        Some((policy, _)) => restore_latest(policy, mix, variant.label, build)?,
         None => None,
     };
     let was_restored = restored.is_some();
@@ -182,7 +219,7 @@ pub(crate) fn drive(
         });
         collector = collector.with_start_cycle(start);
     }
-    let metrics = attach_observers(ctx, &mut pipeline, &mut collector, run_id, mix, scheme);
+    let metrics = attach_observers(ctx, &mut pipeline, &mut collector, &base);
 
     // The cycle budget is measured relative to the (possibly restored)
     // measurement origin, so a restored run resumed with the same
@@ -205,7 +242,7 @@ pub(crate) fn drive(
             // partial metrics registry before propagating, so a drained
             // or resumed campaign never finds torn files.
             pipeline.tracer().flush();
-            export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
+            export_metrics(ctx, metrics.as_ref(), &base);
             return Err(err);
         }
     };
@@ -213,15 +250,15 @@ pub(crate) fn drive(
     let avf = PhaseTimings::time(&mut timings.collect_s, || collector.report());
     let mut profile = pipeline.profile_report();
     profile.merge(&collector.profile_report(), "avf");
-    export_profile(ctx, &pipeline, &profile, run_id, mix, scheme);
+    export_profile(ctx, &pipeline, &profile, &base);
     pipeline.tracer().flush();
     let stage_seconds = stage_snapshot(&profile);
-    let sim_metrics = export_metrics(ctx, metrics.as_ref(), run_id, mix, scheme);
+    let sim_metrics = export_metrics(ctx, metrics.as_ref(), &base);
 
     let stats = result.stats;
     let outcome = RunOutcome {
         mix: mix.name.clone(),
-        scheme: scheme.label(),
+        scheme: variant.label,
         fetch,
         avf,
         throughput_ipc: stats.throughput_ipc(),
@@ -240,7 +277,7 @@ pub(crate) fn drive(
         sim_metrics,
         stats,
     };
-    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, scheme, fetch, &outcome));
+    ctx.record_manifest(RunManifest::new(run_id, ctx, mix, &outcome));
     Ok(outcome)
 }
 
@@ -250,7 +287,7 @@ pub(crate) fn drive(
 fn restore_latest<H>(
     policy: &CheckpointPolicy<'_>,
     mix: &WorkloadMix,
-    scheme: Scheme,
+    label: &str,
     build: impl Fn() -> (Pipeline, AvfCollector, H),
 ) -> Result<Option<(Pipeline, AvfCollector, H)>, JobError> {
     let Some(loaded) = policy.store.load_latest_valid(|bytes| {
@@ -267,10 +304,7 @@ fn restore_latest<H>(
             .counter_add(C_SNAPSHOTS_SKIPPED_CORRUPT, loaded.skipped_corrupt as u64);
         eprintln!(
             "experiments: skipped {} corrupt snapshot(s) for {} / {}; resuming from cycle {}",
-            loaded.skipped_corrupt,
-            mix.name,
-            scheme.label(),
-            loaded.cycle,
+            loaded.skipped_corrupt, mix.name, label, loaded.cycle,
         );
     }
     policy.metrics.counter_add(C_SNAPSHOTS_RESTORED, 1);
@@ -316,11 +350,9 @@ fn attach_observers(
     ctx: &ExperimentContext,
     pipeline: &mut Pipeline,
     collector: &mut AvfCollector,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
+    base: &str,
 ) -> Option<Metrics> {
-    attach_tracing(ctx, pipeline, run_id, mix, scheme);
+    attach_tracing(ctx, pipeline, base);
     let profiling = ctx.profile_dir().is_some();
     if profiling {
         pipeline.set_stage_profiling(true);
@@ -341,9 +373,7 @@ fn export_profile(
     ctx: &ExperimentContext,
     pipeline: &Pipeline,
     profile: &ProfileReport,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
+    base: &str,
 ) {
     if profile.nodes.iter().all(|n| n.calls == 0) {
         return; // profiling was off
@@ -362,12 +392,6 @@ fn export_profile(
     let Some(dir) = ctx.profile_dir() else {
         return;
     };
-    let base = format!(
-        "run{:04}_{}_{}",
-        run_id,
-        slug(&mix.name),
-        slug(scheme.label()),
-    );
     let export = std::fs::create_dir_all(dir)
         .and_then(|_| {
             sim_harness::atomic_write(
@@ -389,13 +413,7 @@ fn export_profile(
 
 /// When the context carries a trace directory, attach a per-run Chrome
 /// trace exporter and coarse stage self-profiling to the pipeline.
-fn attach_tracing(
-    ctx: &ExperimentContext,
-    pipeline: &mut Pipeline,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
-) {
+fn attach_tracing(ctx: &ExperimentContext, pipeline: &mut Pipeline, base: &str) {
     let Some(dir) = ctx.trace_dir() else {
         return;
     };
@@ -406,12 +424,7 @@ fn attach_tracing(
         );
         return;
     }
-    let path = dir.join(format!(
-        "run{:04}_{}_{}.trace.json",
-        run_id,
-        slug(&mix.name),
-        slug(scheme.label()),
-    ));
+    let path = dir.join(format!("{base}.trace.json"));
     pipeline.set_tracer(Tracer::new(ChromeTraceSink::new(path)));
     pipeline.set_stage_profiling(true);
 }
@@ -422,19 +435,11 @@ fn attach_tracing(
 fn export_metrics(
     ctx: &ExperimentContext,
     metrics: Option<&Metrics>,
-    run_id: u64,
-    mix: &WorkloadMix,
-    scheme: Scheme,
+    base: &str,
 ) -> Option<MetricsSummary> {
     let metrics = metrics?;
     let snapshot = metrics.snapshot();
     if let Some(dir) = ctx.metrics_dir() {
-        let base = format!(
-            "run{:04}_{}_{}",
-            run_id,
-            slug(&mix.name),
-            slug(scheme.label()),
-        );
         // Atomic exports: stream to a buffer, then `.tmp` + rename, so
         // a crash (or SIGINT) mid-export never leaves a torn file for a
         // resumed campaign to trip over.

@@ -64,8 +64,8 @@ impl Priority {
 pub struct JobSpec {
     /// Client-chosen label (campaign/exhibit name).
     pub name: String,
-    /// Workload kind; selects the executor from the daemon's registry
-    /// (`"synthetic"` is built in, `experiments` registers `"sim"`).
+    /// Workload kind; selects the executor from the daemon's registry.
+    /// `"synthetic"` is the only kind registered today (built in).
     pub kind: String,
     /// Determinism seed. Same (kind, seed, steps, payload) must
     /// produce the same result bytes — that is what makes at-least-once

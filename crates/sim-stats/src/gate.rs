@@ -1,18 +1,19 @@
-//! Regression-gate math shared by the bench `--check-baseline`
+//! Regression-gate math shared by the `bench-baseline --check-baseline`
 //! comparator and the `sim-report` cross-run diff engine.
 //!
 //! One definition of "significant drift" keeps the two tools consistent:
-//! a report diff flags exactly the deltas the baseline gate would fail
-//! on. All three gates compare [`SeedSummary`] aggregates, so recorded
-//! seed noise widens the gates instead of tripping them:
+//! on simulated metrics a report diff flags exactly the deltas the
+//! baseline gate would fail on. All three gates compare [`SeedSummary`]
+//! aggregates, so recorded seed noise widens the gates instead of
+//! tripping them:
 //!
 //! * [`metric_regresses`] — two-sided: relative drift beyond tolerance
-//!   *and* beyond the combined CI95 half-widths;
+//!   *and* beyond the combined CI95 half-widths (both tools);
 //! * [`wall_time_regresses`] — one-sided on the means only (host timing
 //!   CIs are too volatile to gate on; getting faster is never a
-//!   regression);
+//!   regression; `report --diff` only);
 //! * [`throughput_regresses`] — one-sided drop beyond tolerance *and*
-//!   beyond the combined CI95s.
+//!   beyond the combined CI95s (`report --diff` only).
 
 use crate::aggregate::SeedSummary;
 
