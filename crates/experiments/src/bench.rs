@@ -12,15 +12,15 @@
 
 use crate::checkpoint::{CheckpointPolicy, DEFAULT_SNAPSHOT_EVERY};
 use crate::context::ExperimentContext;
-use crate::manifest::BudgetSummary;
+use crate::manifest::{BudgetSummary, Supervised};
 use crate::report::Rendered;
 use crate::runner::{drive, RunVariant};
 use iq_reliability::Scheme;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim_harness::{
-    fnv1a, run_journaled_in, run_supervised, HarnessConfig, HarnessObservers, HarnessStats,
-    JobError, JobKey, Journal, QuarantineEntry, SnapshotStore,
+    fnv1a, run_journaled_in, run_supervised, HarnessConfig, HarnessObservers, JobError, JobKey,
+    Journal, QuarantineEntry, SnapshotStore,
 };
 use sim_stats::{gate, SeedSummary, Table};
 use smt_sim::FetchPolicyKind;
@@ -135,21 +135,6 @@ pub struct BenchSample {
     pub iq_avf: f64,
 }
 
-/// A supervised bench campaign: the (possibly partial) baseline plus
-/// the harness's account of what it took to produce it.
-#[derive(Debug)]
-pub struct BenchCampaign {
-    pub baseline: BenchBaseline,
-    pub stats: HarnessStats,
-    /// True when SIGINT (or an injected shutdown flag) stopped the
-    /// campaign early; the journal holds the completed jobs and a
-    /// re-run with the same journal directory finishes the rest.
-    pub interrupted: bool,
-    /// Aggregate simulated cycles across every job (the heartbeat's
-    /// progress counter at campaign end).
-    pub simulated_cycles: u64,
-}
-
 /// Config-hash input for bench job keys: anything that changes the
 /// meaning of a `(case, salt)` result must appear here so stale journal
 /// records are invalidated rather than replayed.
@@ -180,7 +165,7 @@ pub fn run_bench_supervised(
     cfg: &HarnessConfig,
     obs: &HarnessObservers,
     journal_dir: Option<&Path>,
-) -> Result<BenchCampaign, JobError> {
+) -> Result<Supervised<BenchBaseline>, JobError> {
     let seeds = seeds.max(1);
     let cases = bench_cases();
     let jobs: Vec<(JobKey, (usize, u64))> = (0..cases.len())
@@ -302,8 +287,8 @@ pub fn run_bench_supervised(
         })
         .collect();
 
-    Ok(BenchCampaign {
-        baseline: BenchBaseline {
+    Ok(Supervised {
+        report: BenchBaseline {
             schema_version: BENCH_SCHEMA_VERSION,
             seeds,
             budget: BudgetSummary {
@@ -614,7 +599,7 @@ mod tests {
         let clean_ctx = ExperimentContext::new(params);
         let clean = run_bench_supervised(&clean_ctx, 1, &cfg, &HarnessObservers::off(), None)
             .unwrap()
-            .baseline;
+            .report;
 
         let dir = std::env::temp_dir().join("smtsim_bench_resume_test");
         std::fs::remove_dir_all(&dir).ok();
@@ -678,7 +663,7 @@ mod tests {
 
         // Identical simulation results: the document holds no host
         // timing, so the whole baseline must match.
-        assert_eq!(resumed.baseline, clean);
+        assert_eq!(resumed.report, clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -708,7 +693,7 @@ mod tests {
         let clean_ctx = ExperimentContext::new(params);
         let clean = run_bench_supervised(&clean_ctx, 1, &cfg, &HarnessObservers::off(), None)
             .unwrap()
-            .baseline;
+            .report;
 
         let dir = std::env::temp_dir().join("smtsim_bench_midrun_resume_test");
         std::fs::remove_dir_all(&dir).ok();
@@ -789,12 +774,12 @@ mod tests {
             "the bit-flipped newest generation was skipped, and counted"
         );
         assert!(
-            resumed.baseline.quarantined.is_empty(),
+            resumed.report.quarantined.is_empty(),
             "every job finished: {:?}",
-            resumed.baseline.quarantined
+            resumed.report.quarantined
         );
 
-        assert_eq!(resumed.baseline, clean);
+        assert_eq!(resumed.report, clean);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -58,6 +58,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim_chaos::{ChaosConfig, ChaosFs, FaultSpec, Vfs};
 use sim_harness::journal::{fnv1a, JobKey, Journal};
+use sim_harness::signal::{EXIT_FATAL, EXIT_INTERRUPTED, EXIT_PARTIAL};
 use sim_harness::{
     atomic_write, atomic_write_bytes_in, run_journaled_in, Backoff, CampaignOutcome, HarnessConfig,
     HarnessObservers, JobError, JobOutcome, SnapshotStore,
@@ -362,7 +363,7 @@ fn register_runs(vfs: &Arc<dyn Vfs>, store_root: &Path, outcome: &CampaignOutcom
 fn pass_exit<R>(result: &Result<CampaignOutcome<R>, JobError>) -> i32 {
     match result {
         Ok(outcome) => outcome.exit_code(),
-        Err(_) => 3,
+        Err(_) => EXIT_FATAL,
     }
 }
 
@@ -449,7 +450,7 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
         }
     };
     let chaos_exit = pass_exit(&chaos_result);
-    if ![0, 2, 3].contains(&chaos_exit) {
+    if ![0, EXIT_PARTIAL, EXIT_FATAL].contains(&chaos_exit) {
         violations.push(format!(
             "chaos pass exit {chaos_exit} outside the 0/2/3 contract"
         ));
@@ -468,7 +469,7 @@ fn run_round(round: u64, round_seed: u64, scratch: &Path) -> RoundReport {
         Err(_) => (0, 0),
     };
     if let Ok(out) = &chaos_result {
-        if chaos_quarantined > 0 && out.exit_code() != 2 {
+        if chaos_quarantined > 0 && out.exit_code() != EXIT_PARTIAL {
             violations.push("quarantined jobs did not map to exit 2".to_string());
         }
         // Completed values must match the reference even mid-chaos:
@@ -686,7 +687,7 @@ pub fn cmd_chaos(args: &ChaosArgs) -> i32 {
             "chaos: cannot create scratch directory {}",
             scratch.display()
         );
-        return 3;
+        return EXIT_FATAL;
     }
     let report = run_chaos(args.seed, args.rounds, &scratch);
 
@@ -712,20 +713,20 @@ pub fn cmd_chaos(args: &ChaosArgs) -> i32 {
         let json = serde::json::to_string_pretty(&report);
         if let Err(e) = atomic_write(out, &(json + "\n")) {
             eprintln!("chaos: writing report {}: {e}", out.display());
-            return 3;
+            return EXIT_FATAL;
         }
         eprintln!("chaos: report written to {}", out.display());
     }
 
     if sim_harness::signal::interrupted() {
-        return sim_harness::signal::EXIT_INTERRUPTED;
+        return EXIT_INTERRUPTED;
     }
     if report.totals.violations > 0 {
         eprintln!(
             "chaos: scratch kept for inspection at {}",
             scratch.display()
         );
-        return 3;
+        return EXIT_FATAL;
     }
     let _ = std::fs::remove_dir_all(&scratch);
     0

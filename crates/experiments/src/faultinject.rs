@@ -16,14 +16,15 @@
 //! model).
 
 use crate::context::ExperimentContext;
-use crate::manifest::slug;
+use crate::manifest::{slug, Supervised};
 use crate::report::Rendered;
+use crate::runner::export_prometheus;
 use iq_reliability::Scheme;
 use serde::{Deserialize, Serialize};
 use sim_faultinject::{run_campaign, CampaignConfig, CampaignResult};
 use sim_harness::{
-    fnv1a, run_journaled, run_supervised, HarnessConfig, HarnessObservers, HarnessStats, JobError,
-    JobKey, QuarantineEntry,
+    fnv1a, run_journaled, run_supervised, HarnessConfig, HarnessObservers, JobError, JobKey,
+    QuarantineEntry,
 };
 use sim_metrics::Metrics;
 use sim_stats::Table;
@@ -103,14 +104,8 @@ fn export_observers(
     let Some(dir) = ctx.metrics_dir() else {
         return;
     };
-    let snapshot = metrics.snapshot();
-    let export = std::fs::create_dir_all(dir).and_then(|_| {
-        std::fs::write(
-            dir.join(format!("inject_s{salt}_{}.prom", slug(scheme))),
-            sim_metrics::export::render_prometheus(&snapshot),
-        )
-    });
-    if let Err(e) = export {
+    let base = format!("inject_s{salt}_{}", slug(scheme));
+    if let Err(e) = export_prometheus(dir, &base, &metrics.snapshot()) {
         eprintln!("experiments: fault-inject metrics export failed: {e}");
     }
 }
@@ -122,18 +117,6 @@ fn export_observers(
 pub struct SaltPair {
     pub baseline: SchemeCampaign,
     pub dvm: SchemeCampaign,
-}
-
-/// A supervised fault-injection campaign: the report plus how the
-/// harness got there.
-#[derive(Debug, Clone)]
-pub struct FaultInjectCampaign {
-    pub report: FaultInjectReport,
-    pub stats: HarnessStats,
-    pub interrupted: bool,
-    /// Aggregate simulated cycles across every job (the heartbeat's
-    /// progress counter at campaign end).
-    pub simulated_cycles: u64,
 }
 
 /// Everything that determines a salt-pair's result, folded into the
@@ -228,7 +211,7 @@ pub fn run_fault_inject_supervised(
     cfg: &HarnessConfig,
     obs: &HarnessObservers,
     journal_dir: Option<&Path>,
-) -> Result<FaultInjectCampaign, JobError> {
+) -> Result<Supervised<FaultInjectReport>, JobError> {
     let mix = workload_gen::mix_by_name("CPU-A").expect("CPU-A mix exists");
     // Hang budget: a fraction of the measured window, bounded so tiny
     // smoke budgets still leave the watchdog room to fire.
@@ -263,7 +246,7 @@ pub fn run_fault_inject_supervised(
     }
     let mut quarantined = outcome.quarantine.clone();
     quarantined.sort_by(|a, b| a.key.cmp(&b.key));
-    Ok(FaultInjectCampaign {
+    Ok(Supervised {
         report: FaultInjectReport {
             schema_version: FAULT_SCHEMA_VERSION,
             mix: mix.name.clone(),

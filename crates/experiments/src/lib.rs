@@ -25,6 +25,7 @@ pub mod ablations;
 pub mod bench;
 pub mod chaos;
 pub mod checkpoint;
+pub mod cli;
 pub mod context;
 pub mod exhibits;
 pub mod faultinject;

@@ -217,6 +217,21 @@ pub struct CampaignManifest {
     pub quarantined: Vec<sim_harness::QuarantineEntry>,
 }
 
+/// A supervised campaign's digest — the `bench-baseline` baseline or
+/// the `fault-inject` report — plus how the harness got there.
+#[derive(Debug, Clone)]
+pub struct Supervised<R> {
+    pub report: R,
+    pub stats: sim_harness::HarnessStats,
+    /// True when SIGINT (or an injected shutdown flag) stopped the
+    /// campaign early; the journal holds the completed jobs and a
+    /// re-run with the same journal directory finishes the rest.
+    pub interrupted: bool,
+    /// Aggregate simulated cycles across every job (the heartbeat's
+    /// progress counter at campaign end).
+    pub simulated_cycles: u64,
+}
+
 impl CampaignManifest {
     pub const FILE_NAME: &'static str = "campaign.json";
 

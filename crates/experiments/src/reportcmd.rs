@@ -17,17 +17,13 @@
 use crate::faultinject::{FaultInjectReport, FAULT_SCHEMA_VERSION};
 use crate::manifest::{slug, RunManifest, MANIFEST_SCHEMA_VERSION};
 use sim_harness::fnv1a;
+use sim_harness::signal::{EXIT_FATAL, EXIT_USAGE};
 use sim_profile::ProfileReport;
 use sim_report::{
     align_series, check_schema, diff_groups, parse_series_jsonl, render_html, select, InjectView,
     ReportError, ReportInput, RunRecord, RunStore, Selector,
 };
 use std::path::{Path, PathBuf};
-
-/// Usage error (mirrors the main CLI's code).
-const EXIT_USAGE: i32 = 1;
-/// I/O failure, unknown schema version, or significant drift.
-const EXIT_FATAL: i32 = 3;
 
 /// Where a registration pass should probe for per-run artifact files
 /// (the exporters' output directories, when enabled for the run).

@@ -15,7 +15,7 @@ use avf::{AvfCollector, AvfReport};
 use iq_reliability::{DvmHandle, Scheme};
 use sim_harness::JobError;
 use sim_metrics::summary::MetricsSummary;
-use sim_metrics::Metrics;
+use sim_metrics::{Metrics, MetricsSnapshot};
 use sim_profile::ProfileReport;
 use sim_trace::chrome::ChromeTraceSink;
 use sim_trace::timing::{PhaseTimings, StageSeconds};
@@ -24,6 +24,7 @@ use smt_sim::pipeline::PipelinePolicies;
 use smt_sim::{
     CancelToken, FetchPolicyKind, Pipeline, SimLimits, SimStats, DEFAULT_INTERVAL_CYCLES,
 };
+use std::path::Path;
 use workload_gen::WorkloadMix;
 
 /// Builds one run's policy bundle for a fetch policy and IQ size; DVM
@@ -451,17 +452,26 @@ fn export_metrics(
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
                 sim_harness::atomic_write(&dir.join(format!("{base}.series.jsonl")), &text)
             })
-            .and_then(|_| {
-                sim_harness::atomic_write(
-                    &dir.join(format!("{base}.prom")),
-                    &sim_metrics::export::render_prometheus(&snapshot),
-                )
-            });
+            .and_then(|_| export_prometheus(dir, base, &snapshot));
         if let Err(e) = export {
             eprintln!("experiments: metrics export failed for {base}: {e}");
         }
     }
     Some(MetricsSummary::from_snapshot(&snapshot))
+}
+
+/// Write `snapshot` as Prometheus text to `dir/{base}.prom`, creating
+/// `dir` first. Atomic (`.tmp` + rename) like every metrics export.
+pub fn export_prometheus(
+    dir: &Path,
+    base: &str,
+    snapshot: &MetricsSnapshot,
+) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    sim_harness::atomic_write(
+        &dir.join(format!("{base}.prom")),
+        &sim_metrics::export::render_prometheus(snapshot),
+    )
 }
 
 #[cfg(test)]

@@ -21,12 +21,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use serde::Value;
+use sim_harness::signal::{EXIT_FATAL, EXIT_USAGE};
 use sim_serve::{JobSpec, Priority, ServeClient, ServeConfig, SubmitError, WorkloadRegistry};
-
-/// Usage error: bad verb, missing id, unparseable priority.
-const EXIT_USAGE: i32 = 1;
-/// Transport failure, admission refusal, or a missing job.
-const EXIT_FATAL: i32 = 3;
 
 /// Arguments for `experiments serve`.
 #[derive(Debug, Clone)]

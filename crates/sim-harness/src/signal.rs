@@ -23,8 +23,36 @@ pub const SIGINT: i32 = 2;
 /// teardown and job schedulers send first).
 pub const SIGTERM: i32 = 15;
 
+// The process exit-code contract shared by every campaign-shaped
+// command (the `experiments` modes and the `sim-serve` daemon):
+// `0` success, then the codes below.
+
+/// Usage error: an unknown or misapplied flag, a bad flag value, an
+/// unknown exhibit — rejected before any simulation starts.
+pub const EXIT_USAGE: i32 = 1;
+
+/// The campaign completed but at least one job failed or was
+/// quarantined.
+pub const EXIT_PARTIAL: i32 = 2;
+
+/// Fatal: I/O failure, a `--check-*` gate regression, a chaos contract
+/// violation, or a daemon that cannot start.
+pub const EXIT_FATAL: i32 = 3;
+
 /// Exit status conventionally reported for death-by-interrupt.
 pub const EXIT_INTERRUPTED: i32 = 130;
+
+/// A finished (or stopped) campaign's exit code: interrupted beats
+/// partial beats success.
+pub fn campaign_exit_code(interrupted: bool, partial: bool) -> i32 {
+    if interrupted {
+        EXIT_INTERRUPTED
+    } else if partial {
+        EXIT_PARTIAL
+    } else {
+        0
+    }
+}
 
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 static INSTALLED: AtomicBool = AtomicBool::new(false);

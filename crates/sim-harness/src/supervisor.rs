@@ -180,13 +180,7 @@ impl<R> CampaignOutcome<R> {
     /// Process exit status under the campaign exit-code contract:
     /// 0 = complete, 2 = partial (quarantined jobs), 130 = interrupted.
     pub fn exit_code(&self) -> i32 {
-        if self.interrupted {
-            signal::EXIT_INTERRUPTED
-        } else if !self.quarantine.is_empty() {
-            2
-        } else {
-            0
-        }
+        signal::campaign_exit_code(self.interrupted, !self.quarantine.is_empty())
     }
 }
 

@@ -197,16 +197,9 @@ impl DaemonCore {
     /// Exit status under the campaign contract: 130 when a signal
     /// stopped us, 2 when any job failed or was quarantined, else 0.
     fn exit_code(&self) -> i32 {
-        if self.interrupted.load(Ordering::SeqCst) {
-            signal::EXIT_INTERRUPTED
-        } else {
-            let stats = self.stats();
-            if stats.failed + stats.quarantined > 0 {
-                2
-            } else {
-                0
-            }
-        }
+        let interrupted = self.interrupted.load(Ordering::SeqCst);
+        let stats = self.stats();
+        signal::campaign_exit_code(interrupted, stats.failed + stats.quarantined > 0)
     }
 
     /// Run one claimed job under the supervisor and fold the outcome
@@ -594,7 +587,7 @@ pub fn run(cfg: ServeConfig, registry: WorkloadRegistry) -> i32 {
         Ok(d) => d,
         Err(e) => {
             eprintln!("sim-serve: startup failed: {e}");
-            return 3;
+            return signal::EXIT_FATAL;
         }
     };
     eprintln!("sim-serve: listening on {}", daemon.addr());

@@ -8,8 +8,6 @@
 //!
 //! * [`sinks::RingSink`] — bounded in-memory ring buffer with a
 //!   cloneable inspection handle, for tests and programmatic analysis;
-//! * [`sinks::JsonlSink`] — one JSON object per event, streamed to any
-//!   writer (typically a file), for offline processing;
 //! * [`chrome::ChromeTraceSink`] — Chrome trace-event JSON loadable in
 //!   Perfetto / `chrome://tracing`, mapping interval metrics to counter
 //!   tracks and governor/DVM decisions to instant events.
